@@ -3,7 +3,8 @@
  * google-benchmark micro-benchmarks for the simulator's hot kernels:
  * the greedy heap allocator vs the bottleneck-sweep reference (the
  * paper's decision-time claim), pipeline scheduling, vertex mapping,
- * graph generation, and the MVM kernel of the tensor substrate.
+ * the degree ranking, the vertex-profile build, graph generation, and
+ * the MVM kernel of the tensor substrate.
  *
  * --json-out=PATH writes the timings through the repo's own JSON
  * writer (common/json.hh, the same machine-readable surface the
@@ -112,6 +113,32 @@ BM_InterleavedMapping(benchmark::State &state)
     }
 }
 BENCHMARK(BM_InterleavedMapping)->Arg(10000)->Arg(100000);
+
+void
+BM_RankByDegree(benchmark::State &state)
+{
+    // arxiv-sized: 169343 vertices, degrees capped at 50 * 13.7.
+    Rng rng(11);
+    const auto degrees = graph::powerLawDegreeSequence(
+        static_cast<uint64_t>(state.range(0)), 13.7, 2.1, 685, rng);
+    for (auto _ : state) {
+        auto order = mapping::rankByDegree(degrees);
+        benchmark::DoNotOptimize(order);
+    }
+}
+BENCHMARK(BM_RankByDegree)->Arg(169343);
+
+void
+BM_VertexProfileBuild(benchmark::State &state)
+{
+    const auto workload = gcn::Workload::paperDefault("arxiv");
+    for (auto _ : state) {
+        auto profile =
+            gcn::VertexProfile::build(workload.dataset, workload.seed);
+        benchmark::DoNotOptimize(profile);
+    }
+}
+BENCHMARK(BM_VertexProfileBuild);
 
 void
 BM_ChungLuGeneration(benchmark::State &state)

@@ -1,7 +1,6 @@
 #include "gcn/workload.hh"
 
 #include <algorithm>
-#include <functional>
 
 #include "common/logging.hh"
 #include "common/math_utils.hh"
@@ -49,17 +48,24 @@ VertexProfile::build(const graph::DatasetSpec &dataset, uint64_t seed)
     // order, community structure), which is what produces Fig. 6's
     // per-crossbar skew under index mapping and defeats OSU (Fig. 7).
     // Reproduce that: globally degree-sorted ids with local shuffling.
-    std::sort(profile.degrees.begin(), profile.degrees.end(),
-              std::greater<>());
+    // The sort is a descending counting sort: degreeSequence caps
+    // degrees at min(n - 1, 50 * avgDegree), so it costs O(n + maxDeg).
+    auto &degrees = profile.degrees;
+    std::vector<uint32_t> count(
+        static_cast<size_t>(
+            *std::max_element(degrees.begin(), degrees.end())) + 1, 0);
+    for (uint32_t d : degrees)
+        ++count[d];
+    auto out = degrees.begin();
+    for (size_t d = count.size(); d-- > 0;)
+        out = std::fill_n(out, count[d], static_cast<uint32_t>(d));
+
     const size_t window = 256;
-    for (size_t begin = 0; begin < profile.degrees.size();
-         begin += window) {
-        const size_t end =
-            std::min(begin + window, profile.degrees.size());
+    for (size_t begin = 0; begin < degrees.size(); begin += window) {
+        const size_t end = std::min(begin + window, degrees.size());
         for (size_t i = end - begin; i > 1; --i) {
             const size_t j = rng.uniformInt(static_cast<uint64_t>(i));
-            std::swap(profile.degrees[begin + i - 1],
-                      profile.degrees[begin + j]);
+            std::swap(degrees[begin + i - 1], degrees[begin + j]);
         }
     }
     return profile;

@@ -86,19 +86,6 @@ Graph::hasEdge(VertexId u, VertexId v) const
     return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }
 
-std::vector<VertexId>
-Graph::verticesByDegreeDesc() const
-{
-    std::vector<VertexId> order(numVertices_);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [this](VertexId a, VertexId b) {
-                         const auto da = degree(a), db = degree(b);
-                         return da != db ? da > db : a < b;
-                     });
-    return order;
-}
-
 double
 GraphStats::sparsity() const
 {

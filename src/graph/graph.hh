@@ -63,12 +63,6 @@ class Graph
     /** True if an edge {u, v} exists (binary search in CSR row). */
     bool hasEdge(VertexId u, VertexId v) const;
 
-    /**
-     * Vertex ids sorted by descending degree (ties broken by id to keep
-     * the order deterministic). This is the ISU importance ranking.
-     */
-    std::vector<VertexId> verticesByDegreeDesc() const;
-
   private:
     VertexId numVertices_ = 0;
     uint64_t numEdges_ = 0;

@@ -1,7 +1,6 @@
 #include "mapping/selective.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -22,17 +21,13 @@ selectImportant(const std::vector<uint32_t> &degrees, double theta)
     const auto keep = static_cast<size_t>(
         static_cast<double>(n) * theta + 0.5);
 
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&degrees](uint32_t a, uint32_t b) {
-                         return degrees[a] != degrees[b]
-                                    ? degrees[a] > degrees[b]
-                                    : a < b;
-                     });
+    // Non-selective systems (theta = 1) keep everything: no ranking.
+    if (keep >= n)
+        return std::vector<bool>(n, true);
 
+    const std::vector<uint32_t> order = rankByDegree(degrees);
     std::vector<bool> important(n, false);
-    for (size_t i = 0; i < std::min(keep, n); ++i)
+    for (size_t i = 0; i < keep; ++i)
         important[order[i]] = true;
     return important;
 }

@@ -37,8 +37,10 @@ struct SelectiveUpdateParams
 double adaptiveTheta(double avgDegree);
 
 /**
- * Mark the top `theta` fraction of vertices by degree as important.
- * Ties break toward lower vertex id for determinism.
+ * Mark the top `theta` fraction of vertices by degree as important,
+ * taken from rankByDegree (ties break toward the lower vertex id).
+ * When the rounded count covers every vertex (theta = 1, the
+ * non-selective systems) all are marked without ranking.
  */
 std::vector<bool> selectImportant(const std::vector<uint32_t> &degrees,
                                   double theta);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/math_utils.hh"
@@ -18,6 +19,27 @@ toString(VertexMapStrategy s)
         return "interleaved";
     }
     panic("unknown mapping strategy");
+}
+
+std::vector<uint32_t>
+rankByDegree(const std::vector<uint32_t> &degrees)
+{
+    if (degrees.empty())
+        return {};
+    const uint32_t maxDeg =
+        *std::max_element(degrees.begin(), degrees.end());
+    // Bucket b holds degree maxDeg - b, so buckets run in rank order;
+    // after the prefix sum, next[b] is the first free rank in b.
+    std::vector<uint32_t> next(static_cast<size_t>(maxDeg) + 1, 0);
+    for (uint32_t d : degrees)
+        ++next[maxDeg - d];
+    uint32_t rank = 0;
+    for (uint32_t &slot : next)
+        rank += std::exchange(slot, rank);
+    std::vector<uint32_t> order(degrees.size());
+    for (uint32_t v = 0; v < order.size(); ++v)
+        order[next[maxDeg - degrees[v]]++] = v;
+    return order;
 }
 
 VertexAssignment
@@ -40,18 +62,11 @@ mapVertices(const std::vector<uint32_t> &degrees, uint32_t rowsPerGroup,
         break;
 
       case VertexMapStrategy::Interleaved: {
-        // Sort by degree descending (stable on id), then deal the
-        // ranked list round-robin across groups: rank i -> group
-        // i % numGroups. Group capacity is respected automatically
-        // because each group receives every numGroups-th rank.
-        std::vector<uint32_t> order(n);
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(order.begin(), order.end(),
-                         [&degrees](uint32_t a, uint32_t b) {
-                             return degrees[a] != degrees[b]
-                                        ? degrees[a] > degrees[b]
-                                        : a < b;
-                         });
+        // Deal the degree ranking round-robin across groups: rank i
+        // -> group i % numGroups. Group capacity is respected
+        // automatically because each group receives every
+        // numGroups-th rank.
+        const std::vector<uint32_t> order = rankByDegree(degrees);
         for (uint32_t rank = 0; rank < n; ++rank)
             out.groupOf[order[rank]] = rank % out.numGroups;
         break;

@@ -38,9 +38,23 @@ struct VertexAssignment
 };
 
 /**
+ * Vertex ids ordered by degree descending, ties toward the lower id:
+ * the one degree ranking that selective updating, interleaved mapping
+ * and SpMM row balancing share.
+ *
+ * A stable counting sort: one histogram over degree buckets, then ids
+ * scattered in ascending order. Cost is O(n + maxDeg) time and
+ * O(maxDeg) extra memory, so it assumes bounded degrees (a simple
+ * graph's are below n; the synthetic profiles cap them at
+ * min(n - 1, 50 * avgDegree)). The result equals a std::stable_sort
+ * with the (degree desc, id asc) comparator.
+ */
+std::vector<uint32_t> rankByDegree(const std::vector<uint32_t> &degrees);
+
+/**
  * Map `degrees.size()` vertices onto row groups of `rowsPerGroup`
- * wordlines with the chosen strategy. Interleaved mapping uses the
- * degree ranking (descending) as the deal order.
+ * wordlines with the chosen strategy. Interleaved mapping uses
+ * rankByDegree as the deal order.
  */
 VertexAssignment mapVertices(const std::vector<uint32_t> &degrees,
                              uint32_t rowsPerGroup,

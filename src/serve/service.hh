@@ -11,10 +11,13 @@
  * Determinism contract: request parsing and the hit/miss decision
  * happen serially in input order on the dispatcher thread (repeats
  * of an in-flight request coalesce onto its future), and responses
- * are emitted strictly in input order. The response bytes for a
- * given input stream are therefore identical for any worker count,
- * and a cache hit replays the exact bytes a fresh simulation would
- * have produced.
+ * are emitted strictly in input order. A cache hit replays the exact
+ * bytes a fresh simulation would have produced, so the result bytes
+ * and the whole Stable envelope are identical for any worker count.
+ * The Full envelope is too until the LRU evicts: finished
+ * simulations enter the cache on worker threads, so which keys are
+ * still resident, and with them the `cached`, `hits` and `misses`
+ * fields, then depend on worker timing.
  */
 
 #ifndef GOPIM_SERVE_SERVICE_HH

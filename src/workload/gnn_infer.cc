@@ -9,6 +9,7 @@
 #include "gcn/workload.hh"
 #include "graph/datasets.hh"
 #include "mapping/tiling.hh"
+#include "mapping/vertex_map.hh"
 #include "reram/latency.hh"
 
 namespace gopim::workload {
@@ -96,7 +97,7 @@ profilePartitioning(const graph::Graph &g, Partitioning strategy,
         // LPT: rows in descending-degree order each go to the
         // currently least-loaded partition. Near-perfect balance; the
         // gather indirection costs one extra window pass.
-        for (const graph::VertexId u : g.verticesByDegreeDesc()) {
+        for (const graph::VertexId u : mapping::rankByDegree(g.degrees())) {
             const auto lightest = std::min_element(partNnz.begin(),
                                                    partNnz.end());
             const uint32_t d = g.degree(u);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "gcn/model.hh"
 #include "gcn/time_model.hh"
@@ -69,6 +70,35 @@ TEST(Workload, PolicyThetaResolution)
     fixed.selectiveUpdate = true;
     fixed.theta = 0.42;
     EXPECT_DOUBLE_EQ(fixed.resolvedTheta(ddi), 0.42);
+}
+
+TEST(Workload, VertexProfileBytesArePinned)
+{
+    // FNV-1a over the little-endian bytes of VertexProfile::build's
+    // degrees, recorded with the comparison sort the counting sort
+    // replaced. Any change to the sort order or the window shuffle
+    // after it changes these digests (and every result downstream).
+    struct Pin
+    {
+        const char *dataset;
+        uint64_t seed;
+        const char *digest;
+    };
+    const Pin pins[] = {
+        {"ddi", 1, "91fec2419f7995b2"},   {"ddi", 7, "448e223510af9b4f"},
+        {"Cora", 1, "4769995765b27705"},  {"Cora", 7, "3344aee924c133ad"},
+        {"arxiv", 1, "4ba6b2322e5b3669"}, {"arxiv", 7, "b6386c1b06bc6aa0"},
+    };
+    for (const Pin &pin : pins) {
+        const auto profile = VertexProfile::build(
+            graph::DatasetCatalog::byName(pin.dataset), pin.seed);
+        std::string bytes;
+        for (uint32_t d : profile.degrees)
+            for (int shift = 0; shift < 32; shift += 8)
+                bytes.push_back(static_cast<char>((d >> shift) & 0xff));
+        EXPECT_EQ(hexDigest64(fnv1a64(bytes)), pin.digest)
+            << pin.dataset << " seed " << pin.seed;
+    }
 }
 
 class TimeModelTest : public ::testing::Test

@@ -23,6 +23,58 @@ namespace {
 
 using reram::AcceleratorConfig;
 
+/** The comparison sort rankByDegree replaced, kept as its reference. */
+std::vector<uint32_t>
+referenceRanking(const std::vector<uint32_t> &degrees)
+{
+    std::vector<uint32_t> order(degrees.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&degrees](uint32_t a, uint32_t b) {
+                         return degrees[a] != degrees[b]
+                                    ? degrees[a] > degrees[b]
+                                    : a < b;
+                     });
+    return order;
+}
+
+/** selectImportant as it was: always rank, then take the top keep. */
+std::vector<bool>
+referenceSelection(const std::vector<uint32_t> &degrees, double theta)
+{
+    const size_t n = degrees.size();
+    const auto keep = static_cast<size_t>(
+        static_cast<double>(n) * theta + 0.5);
+    const auto order = referenceRanking(degrees);
+    std::vector<bool> important(n, false);
+    for (size_t i = 0; i < std::min(keep, n); ++i)
+        important[order[i]] = true;
+    return important;
+}
+
+/** Degree vectors covering ties, zeros, one vertex and a wide range. */
+std::vector<std::vector<uint32_t>>
+rankingInputs()
+{
+    std::vector<std::vector<uint32_t>> inputs = {
+        {0},
+        {42},
+        std::vector<uint32_t>(300, 7),      // all equal
+        std::vector<uint32_t>(64, 0),       // all degree 0
+        {0, 3, 0, 0, 3, 1, 0},              // zeros among ties
+        {1u << 20, 0, 5, 1u << 20, 3, 0},   // small n, large maxDeg
+        {300, 500, 250, 450, 2, 15, 10, 1}, // Fig. 7
+    };
+    Rng rng(12);
+    for (const uint64_t range : {4ull, 50ull, 1000ull}) {
+        std::vector<uint32_t> degrees(5000);
+        for (uint32_t &d : degrees)
+            d = static_cast<uint32_t>(rng.uniformInt(range));
+        inputs.push_back(std::move(degrees));
+    }
+    return inputs;
+}
+
 TEST(Tiling, ReproducesTableSixCrossbarCounts)
 {
     const auto cfg = AcceleratorConfig::paperDefault();
@@ -108,6 +160,22 @@ TEST(VertexMap, InterleavedBalancesDegrees)
     EXPECT_LT(skewInter, 3.0);
 }
 
+TEST(VertexMap, RankByDegreeMatchesStableSort)
+{
+    EXPECT_TRUE(rankByDegree({}).empty());
+    for (const auto &degrees : rankingInputs()) {
+        const auto order = rankByDegree(degrees);
+        EXPECT_EQ(order, referenceRanking(degrees))
+            << "n = " << degrees.size();
+
+        // Interleaved mapping deals exactly that ranking.
+        const auto map =
+            mapVertices(degrees, 4, VertexMapStrategy::Interleaved);
+        for (uint32_t rank = 0; rank < order.size(); ++rank)
+            ASSERT_EQ(map.groupOf[order[rank]], rank % map.numGroups);
+    }
+}
+
 TEST(VertexMap, StrategyNames)
 {
     EXPECT_EQ(toString(VertexMapStrategy::IndexBased), "index-based");
@@ -146,6 +214,16 @@ TEST(Selective, ThetaExtremes)
     const auto all = selectImportant(degrees, 1.0);
     EXPECT_EQ(std::count(none.begin(), none.end(), true), 0);
     EXPECT_EQ(std::count(all.begin(), all.end(), true), 3);
+
+    // Every theta, the keep >= n shortcut included (theta = 1, and
+    // 0.9 on inputs small enough that it rounds up to n), matches the
+    // always-rank reference.
+    for (const auto &degrees : rankingInputs())
+        for (const double theta : {0.0, 0.25, 0.5, 0.8, 0.9, 1.0})
+            EXPECT_EQ(selectImportant(degrees, theta),
+                      referenceSelection(degrees, theta))
+                << "n = " << degrees.size() << ", theta = " << theta;
+    EXPECT_TRUE(selectImportant({}, 1.0).empty());
 }
 
 TEST(Selective, Figure7OsuCounterExample)

@@ -10,7 +10,9 @@
 #     {"type":"stats"} trailer, NOT stderr — inform() is suppressed
 #     at the default log level),
 #   - the router metrics export (METRICS_router.json) carries the
-#     restart/reissue counters.
+#     restart/reissue counters,
+#   - the router removes its port-file directory (made under $TMPDIR)
+#     when it exits.
 #
 # Usage: tools/cluster_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -56,10 +58,23 @@ echo "single-process golden (gopim_serve --envelope=stable) ..."
     < "$requests" > "$work/golden.jsonl"
 
 echo "3-shard cluster with one chaos kill mid-stream ..."
-"$router" --workers=3 --worker-cmd="$serve --jobs=2" \
+TMPDIR="$work" "$router" --workers=3 --worker-cmd="$serve --jobs=2" \
     --chaos-kill-every=400 --chaos-kill-count=1 --chaos-seed=7 \
     --stats --metrics-out=METRICS_router.json \
     < "$requests" > "$work/cluster_raw.jsonl"
+
+leftover=$(find "$work" -maxdepth 1 -name 'gopim_router.*')
+[ -z "$leftover" ] \
+    || { echo "router left its port-file directory: $leftover" >&2; exit 1; }
+echo "router removed its port-file directory"
+
+# ...and it made that directory under $TMPDIR: one that does not exist
+# is a clean startup failure.
+if TMPDIR="$work/missing" "$router" --workers=1 --worker-cmd="$serve" \
+    < /dev/null 2> "$work/no_tmpdir.err"; then
+    echo "router ignored TMPDIR" >&2; exit 1
+fi
+grep -q 'cannot create port-file directory' "$work/no_tmpdir.err"
 
 stats=$(tail -n 1 "$work/cluster_raw.jsonl")
 case $stats in

@@ -27,10 +27,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include <unistd.h>
@@ -48,10 +50,21 @@ using namespace gopim;
 
 volatile std::sig_atomic_t g_stop = 0;
 
+/** Spawned workers' port-file directory; empty with --connect. */
+std::string g_portDir;
+
 void
 handleSignal(int)
 {
     g_stop = 1;
+}
+
+/** atexit hook: runs after main's locals (the Router) are gone. */
+void
+removePortDir()
+{
+    std::error_code ignored;
+    std::filesystem::remove_all(g_portDir, ignored);
 }
 
 std::vector<std::string>
@@ -96,17 +109,22 @@ shardSpecs(const Flags &flags)
               "--worker-cmd=\"./build/tools/gopim_serve --jobs=2\")");
 
     // Spawned workers report their ephemeral ports through files in
-    // a private scratch directory.
-    char dirTemplate[] = "/tmp/gopim_router.XXXXXX";
-    const char *portDir = ::mkdtemp(dirTemplate);
-    if (portDir == nullptr)
-        fatal("cannot create port-file directory");
+    // a private directory under $TMPDIR (default /tmp), removed with
+    // its port files when the router exits, through fatal() too.
+    const char *tmpdir = std::getenv("TMPDIR");
+    std::string dir = (tmpdir != nullptr && *tmpdir != '\0')
+                          ? std::string(tmpdir)
+                          : std::string("/tmp");
+    dir += "/gopim_router.XXXXXX";
+    if (::mkdtemp(dir.data()) == nullptr)
+        fatal("cannot create port-file directory ", dir);
+    g_portDir = dir;
+    std::atexit(removePortDir);
     for (int64_t i = 0; i < workers; ++i) {
         cluster::ShardSpec spec;
         spec.name = "shard" + std::to_string(i);
         spec.command = command;
-        spec.portFile =
-            std::string(portDir) + "/" + spec.name + ".port";
+        spec.portFile = dir + "/" + spec.name + ".port";
         specs.push_back(std::move(spec));
     }
     return specs;
