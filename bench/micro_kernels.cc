@@ -141,6 +141,32 @@ BM_VertexProfileBuild(benchmark::State &state)
 BENCHMARK(BM_VertexProfileBuild);
 
 void
+BM_MappingArtifactsBuild(benchmark::State &state)
+{
+    // arxiv, GoPIM (interleaved + selective updating: one degree
+    // ranking over the profile) vs Serial (full update: the closed
+    // form over the group count, no profile needed).
+    const auto workload = gcn::Workload::paperDefault("arxiv");
+    const bool goPim = state.range(0) != 0;
+    gcn::ExecutionPolicy policy;
+    if (goPim) {
+        policy.selectiveUpdate = true;
+        policy.mapStrategy = mapping::VertexMapStrategy::Interleaved;
+    }
+    const auto profile =
+        policy.readsDegrees(workload.dataset)
+            ? gcn::VertexProfile::build(workload.dataset, workload.seed)
+            : gcn::VertexProfile{};
+    state.SetLabel(goPim ? "GoPIM" : "Serial");
+    for (auto _ : state) {
+        auto artifacts = gcn::MappingArtifacts::build(
+            profile, policy, workload.dataset, 64);
+        benchmark::DoNotOptimize(artifacts);
+    }
+}
+BENCHMARK(BM_MappingArtifactsBuild)->Arg(1)->Arg(0);
+
+void
 BM_ChungLuGeneration(benchmark::State &state)
 {
     Rng rng(13);

@@ -360,11 +360,16 @@ Router::shardFor(const std::string &key) const
 }
 
 Router::EntryPtr
-Router::dispatchLine(const std::string &line, StreamStats *stats)
+Router::dispatchLine(const std::string &line, serve::LineRead read,
+                     StreamStats *stats)
 {
     ++requests_;
     ++stats->requests;
     metrics_->counter("cluster.request.count").add();
+    if (read == serve::LineRead::TooLong)
+        return immediateEntry(
+            serve::errorResponseLine("", serve::lineTooLongError()),
+            true);
 
     // The parse/validate path below mirrors serve::Service::dispatch
     // byte for byte: a request rejected at the router produces the
@@ -469,7 +474,7 @@ Router::dispatchLine(const std::string &line, StreamStats *stats)
 
 Router::StreamStats
 Router::runSession(
-    const std::function<bool(std::string *)> &nextLine,
+    const std::function<serve::LineRead(std::string *)> &nextLine,
     const std::function<void(const std::string &)> &emit)
 {
     StreamStats stats;
@@ -526,10 +531,12 @@ Router::runSession(
     };
 
     std::string line;
-    while (nextLine(&line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
+    for (serve::LineRead read;
+         (read = nextLine(&line)) != serve::LineRead::End;) {
+        if (read == serve::LineRead::Line &&
+            line.find_first_not_of(" \t\r") == std::string::npos)
             continue;
-        window.push_back(dispatchLine(line, &stats));
+        window.push_back(dispatchLine(line, read, &stats));
         drainReady();
         recoverDeadShards(&stats);
     }
@@ -555,7 +562,7 @@ Router::processStream(std::istream &in, std::ostream &out)
 {
     StreamStats stats = runSession(
         [&in](std::string *line) {
-            return static_cast<bool>(std::getline(in, *line));
+            return serve::readRequestLine(in, line);
         },
         [&out](const std::string &response) {
             out << response << '\n';
@@ -607,8 +614,9 @@ Router::processFramed(int clientFd)
     bool peerGone = false;
     return runSession(
         [clientFd](std::string *line) {
-            return net::readFrame(clientFd, line) ==
-                   net::IoStatus::Ok;
+            return net::readFrame(clientFd, line) == net::IoStatus::Ok
+                       ? serve::LineRead::Line
+                       : serve::LineRead::End;
         },
         [clientFd, &peerGone](const std::string &response) {
             if (!peerGone && !net::writeFrame(clientFd, response))

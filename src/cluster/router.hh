@@ -118,7 +118,8 @@ class Router
     /**
      * Route JSONL requests from `in` until EOF; one response line
      * per request to `out`, in input order. Responses stream as soon
-     * as order allows.
+     * as order allows. Lines are capped like Service::processStream's
+     * (serve::readRequestLine).
      */
     StreamStats processStream(std::istream &in, std::ostream &out);
 
@@ -191,15 +192,18 @@ class Router
     /** Revive every dead shard that still owes journal entries. */
     void recoverDeadShards(StreamStats *stats);
 
-    /** Parse/route/admit one line; never blocks on results. */
-    EntryPtr dispatchLine(const std::string &line,
+    /**
+     * Parse/route/admit one line (a TooLong read is answered with
+     * line_too_long); never blocks on results.
+     */
+    EntryPtr dispatchLine(const std::string &line, serve::LineRead read,
                           StreamStats *stats);
     EntryPtr immediateEntry(std::string response, bool isError);
 
     /** The session pump shared by both client transports. */
-    StreamStats
-    runSession(const std::function<bool(std::string *)> &nextLine,
-               const std::function<void(const std::string &)> &emit);
+    StreamStats runSession(
+        const std::function<serve::LineRead(std::string *)> &nextLine,
+        const std::function<void(const std::string &)> &emit);
 
     RouterConfig config_;
     std::shared_ptr<obs::MetricsRegistry> metrics_;

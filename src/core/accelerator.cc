@@ -24,8 +24,12 @@ Accelerator::Accelerator(const reram::AcceleratorConfig &hw,
 RunResult
 Accelerator::run(const gcn::Workload &workload) const
 {
+    // Only selective updating reads degrees; other policies plan
+    // from the closed-form mapping artifacts.
     const auto profile =
-        gcn::VertexProfile::build(workload.dataset, workload.seed);
+        system_.policy.readsDegrees(workload.dataset)
+            ? gcn::VertexProfile::build(workload.dataset, workload.seed)
+            : gcn::VertexProfile{};
     return run(workload, profile);
 }
 
@@ -70,33 +74,20 @@ Accelerator::buildPlan(
     if (faultOn) {
         // Endurance wear from the schedule's actual update traffic:
         // ISU's selective updating directly reduces per-row wear.
-        if (!artifacts.assignment.groupOf.empty()) {
-            mapping::SelectiveUpdateParams sel;
-            sel.theta = system_.policy.theta;
-            sel.coldPeriod = system_.policy.coldPeriod;
-            wear = fault::computeWear(
-                artifacts.assignment, artifacts.important, sel,
-                workload.epochs, hw_.chip.writeEndurance);
-        } else {
-            wear = fault::approxWear(artifacts.updateFraction,
-                                     workload.epochs,
-                                     hw_.chip.writeEndurance);
-        }
+        wear = fault::computeWear(artifacts.load,
+                                  system_.policy.coldPeriod,
+                                  workload.epochs,
+                                  hw_.chip.writeEndurance);
 
         // Per-group fault severity + fault-aware remap: steer the
         // heavy write-load groups onto the healthiest hardware.
         const double cellRate = system_.fault.params.stuckOnRate +
                                 system_.fault.params.stuckOffRate +
                                 wear.wornRowFraction;
-        const uint32_t numGroups =
-            artifacts.assignment.numGroups > 0
-                ? artifacts.assignment.numGroups
-                : 64u;
+        const std::vector<double> &load = wear.groupWritesPerEpoch;
+        const auto numGroups = static_cast<uint32_t>(load.size());
         const auto scores = fault::groupFaultScores(
             numGroups, cellRate, system_.fault.params.seed);
-        std::vector<double> load = wear.groupWritesPerEpoch;
-        if (load.empty())
-            load.assign(numGroups, 1.0);
         const auto physicalOf =
             mapping::remapGroupsByHealth(load, scores);
         std::vector<double> seenScores(numGroups);

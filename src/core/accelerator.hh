@@ -106,9 +106,9 @@ class Accelerator
     Accelerator(const reram::AcceleratorConfig &hw, SystemConfig system);
 
     /**
-     * Run a workload end to end: build the vertex profile, cost the
-     * stages, allocate replicas, schedule the pipeline, and account
-     * time and energy.
+     * Run a workload end to end: build the vertex profile (only if
+     * the policy readsDegrees), cost the stages, allocate replicas,
+     * schedule the pipeline, and account time and energy.
      */
     RunResult run(const gcn::Workload &workload) const;
 
@@ -131,6 +131,8 @@ class Accelerator
      * The planning half of a run: map, cost, plan repairs, allocate
      * replicas. Depends on everything EXCEPT the sim context, so the
      * result can be cached across engine/seed changes (StagePlan).
+     * `profile` may be empty unless the policy readsDegrees; an
+     * empty one that is needed is a fatal assertion.
      */
     StagePlan buildPlan(
         const gcn::Workload &workload,

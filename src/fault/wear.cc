@@ -26,16 +26,12 @@ wornShare(double writesPerEpoch, uint32_t epochs, double endurance)
 } // namespace
 
 WearState
-computeWear(const mapping::VertexAssignment &assignment,
-            const std::vector<bool> &important,
-            const mapping::SelectiveUpdateParams &params,
+computeWear(const mapping::UpdateLoad &load, uint32_t coldPeriod,
             uint32_t epochs, double writeEndurance)
 {
-    GOPIM_ASSERT(assignment.groupOf.size() == important.size(),
-                 "assignment/importance size mismatch");
+    GOPIM_ASSERT(load.numVertices > 0, "wear of an empty mapping");
     WearState wear;
-    wear.groupWritesPerEpoch =
-        mapping::expectedEpochWrites(assignment, important, params);
+    wear.groupWritesPerEpoch = load.groupWrites;
 
     double total = 0.0;
     for (const double writes : wear.groupWritesPerEpoch) {
@@ -43,40 +39,22 @@ computeWear(const mapping::VertexAssignment &assignment,
         wear.peakGroupWritesPerEpoch =
             std::max(wear.peakGroupWritesPerEpoch, writes);
     }
-    const auto numRows = static_cast<double>(important.size());
+    const auto numRows = static_cast<double>(load.numVertices);
     wear.meanWritesPerRowPerEpoch = total / numRows;
 
     // Hot rows (important, or every row without selective updating)
     // are rewritten once per epoch; cold rows once per cold period.
-    size_t hotRows = 0;
-    for (const bool hot : important)
-        hotRows += hot;
-    const double hotShare = static_cast<double>(hotRows) / numRows;
+    const double hotShare =
+        static_cast<double>(load.hotVertices) / numRows;
     const double coldRate =
-        1.0 / static_cast<double>(std::max(1u, params.coldPeriod));
+        1.0 / static_cast<double>(std::max(1u, coldPeriod));
 
     wear.lifetimeFraction = static_cast<double>(epochs) /
                             writeEndurance *
-                            (hotRows > 0 ? 1.0 : coldRate);
+                            (load.hotVertices > 0 ? 1.0 : coldRate);
     wear.wornRowFraction =
         hotShare * wornShare(1.0, epochs, writeEndurance) +
         (1.0 - hotShare) * wornShare(coldRate, epochs, writeEndurance);
-    return wear;
-}
-
-WearState
-approxWear(double updateFraction, uint32_t epochs,
-           double writeEndurance)
-{
-    GOPIM_ASSERT(updateFraction >= 0.0 && updateFraction <= 1.0,
-                 "update fraction must be in [0, 1]");
-    WearState wear;
-    wear.meanWritesPerRowPerEpoch = updateFraction;
-    wear.peakGroupWritesPerEpoch = updateFraction;
-    wear.lifetimeFraction =
-        static_cast<double>(epochs) / writeEndurance;
-    wear.wornRowFraction =
-        wornShare(updateFraction, epochs, writeEndurance);
     return wear;
 }
 

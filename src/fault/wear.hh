@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "mapping/selective.hh"
-#include "mapping/vertex_map.hh"
 
 namespace gopim::fault {
 
@@ -44,23 +43,14 @@ struct WearState
 };
 
 /**
- * Wear from a concrete vertex assignment and importance selection:
- * important rows are rewritten every epoch, cold rows once per cold
- * period (mapping::expectedEpochWrites supplies the per-group
- * totals). `writeEndurance` is the per-cell lifetime write rating.
+ * Wear from the mapped update load: important rows are rewritten
+ * every epoch, cold rows once per cold period (load.groupWrites holds
+ * the per-group totals). `writeEndurance` is the per-cell lifetime
+ * write rating.
  */
-WearState computeWear(const mapping::VertexAssignment &assignment,
-                      const std::vector<bool> &important,
-                      const mapping::SelectiveUpdateParams &params,
-                      uint32_t epochs, double writeEndurance);
-
-/**
- * Analytic fallback when no assignment was materialized (the large-
- * graph full-update path): every row is written `updateFraction`
- * times per epoch in expectation, uniformly across groups.
- */
-WearState approxWear(double updateFraction, uint32_t epochs,
-                     double writeEndurance);
+WearState computeWear(const mapping::UpdateLoad &load,
+                      uint32_t coldPeriod, uint32_t epochs,
+                      double writeEndurance);
 
 } // namespace gopim::fault
 

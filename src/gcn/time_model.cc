@@ -1,6 +1,7 @@
 #include "gcn/time_model.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 #include "common/math_utils.hh"
@@ -8,43 +9,56 @@
 
 namespace gopim::gcn {
 
+namespace {
+
+MappingArtifacts
+artifactsOf(mapping::UpdateLoad load, double updateFraction)
+{
+    MappingArtifacts out;
+    out.epochUpdateSlots = *std::max_element(load.groupWrites.begin(),
+                                             load.groupWrites.end());
+    out.load = std::move(load);
+    out.updateFraction = updateFraction;
+    return out;
+}
+
+} // namespace
+
 MappingArtifacts
 MappingArtifacts::build(const VertexProfile &profile,
                         const ExecutionPolicy &policy,
                         const graph::DatasetSpec &dataset,
                         uint32_t rowsPerGroup)
 {
-    MappingArtifacts out;
-    out.assignment = mapping::mapVertices(profile.degrees, rowsPerGroup,
-                                          policy.mapStrategy);
-
     const double theta = policy.resolvedTheta(dataset);
-    out.important = mapping::selectImportant(profile.degrees, theta);
+    const double updateFraction =
+        theta + (1.0 - theta) / static_cast<double>(policy.coldPeriod);
+    if (!policy.readsDegrees(dataset))
+        return artifactsOf(
+            mapping::fullUpdateLoad(VertexProfile::vertexCount(dataset),
+                                    rowsPerGroup, policy.mapStrategy),
+            updateFraction);
 
+    GOPIM_ASSERT(!profile.degrees.empty(),
+                 "selective updating on '", dataset.name,
+                 "' reads vertex degrees, but the profile is empty");
     mapping::SelectiveUpdateParams params;
     params.theta = theta;
     params.coldPeriod = policy.coldPeriod;
-    out.epochUpdateSlots = mapping::epochUpdateSlots(
-        out.assignment, out.important, params);
-    out.updateFraction =
-        theta + (1.0 - theta) / static_cast<double>(policy.coldPeriod);
-    return out;
+    return artifactsOf(mapping::selectiveLoad(profile.degrees,
+                                              rowsPerGroup,
+                                              policy.mapStrategy, params),
+                       updateFraction);
 }
 
 MappingArtifacts
 MappingArtifacts::fullUpdateApprox(uint64_t numVertices,
                                    uint32_t rowsPerGroup)
 {
-    GOPIM_ASSERT(numVertices > 0 && rowsPerGroup > 0,
-                 "fullUpdateApprox: empty problem");
-    MappingArtifacts out;
-    out.assignment.rowsPerGroup = rowsPerGroup;
-    out.assignment.numGroups =
-        static_cast<uint32_t>(ceilDiv(numVertices, rowsPerGroup));
-    out.epochUpdateSlots = static_cast<double>(
-        std::min<uint64_t>(numVertices, rowsPerGroup));
-    out.updateFraction = 1.0;
-    return out;
+    return artifactsOf(
+        mapping::fullUpdateLoad(numVertices, rowsPerGroup,
+                                mapping::VertexMapStrategy::IndexBased),
+        1.0);
 }
 
 StageTimeModel::StageTimeModel(const reram::AcceleratorConfig &cfg,
@@ -160,7 +174,7 @@ StageTimeModel::aggregationCost(const Workload &w,
             params_.reflipLowDegreeShare;
         const double perGroup =
             reloads /
-            static_cast<double>(artifacts.assignment.numGroups);
+            static_cast<double>(artifacts.load.groupWrites.size());
         cost.fixedNs += perGroup * latency_.rowWriteLatencyNs() /
                         static_cast<double>(mbPerEpoch);
         cost.rowWritesPerMb += static_cast<uint64_t>(

@@ -62,28 +62,31 @@ struct TimeModelParams
 
 /**
  * Mapping-dependent artifacts shared by all Aggregation stages of a
- * workload: the vertex assignment, the importance selection, and the
- * per-epoch update bound.
+ * workload: the per-group update load and the per-epoch update bound.
  */
 struct MappingArtifacts
 {
-    mapping::VertexAssignment assignment;
-    std::vector<bool> important;
+    /** Per-group expected writes and the hot-vertex count. */
+    mapping::UpdateLoad load;
     /** Max per-group expected row writes per epoch (update bound). */
     double epochUpdateSlots = 0.0;
     /** Expected fraction of vertices written per epoch. */
     double updateFraction = 1.0;
 
+    /**
+     * Map and select the dataset's vertices under the policy. Only
+     * a policy that readsDegrees needs `profile`; for the others the
+     * load is mapping::fullUpdateLoad and the profile may be empty.
+     */
     static MappingArtifacts build(const VertexProfile &profile,
                                   const ExecutionPolicy &policy,
                                   const graph::DatasetSpec &dataset,
                                   uint32_t rowsPerGroup);
 
     /**
-     * Cheap analytic artifacts for the full-update (no selective
-     * updating) case, where the mapping strategy does not change the
-     * update bound: every group writes all its rows once per epoch.
-     * Avoids materializing the degree sequence.
+     * Artifacts of index-based mapping without selective updating:
+     * the closed form build() takes for full-update systems, for
+     * callers that have only a vertex count.
      */
     static MappingArtifacts fullUpdateApprox(uint64_t numVertices,
                                              uint32_t rowsPerGroup);

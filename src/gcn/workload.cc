@@ -36,6 +36,19 @@ ExecutionPolicy::resolvedTheta(const graph::DatasetSpec &dataset) const
     return mapping::adaptiveTheta(dataset.avgDegree);
 }
 
+bool
+ExecutionPolicy::readsDegrees(const graph::DatasetSpec &dataset) const
+{
+    const uint64_t n = VertexProfile::vertexCount(dataset);
+    return mapping::keptVertexCount(n, resolvedTheta(dataset)) < n;
+}
+
+uint64_t
+VertexProfile::vertexCount(const graph::DatasetSpec &dataset)
+{
+    return graph::DatasetCatalog::scaledVertexCount(dataset, 1.0);
+}
+
 VertexProfile
 VertexProfile::build(const graph::DatasetSpec &dataset, uint64_t seed)
 {

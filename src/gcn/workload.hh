@@ -68,11 +68,20 @@ struct ExecutionPolicy
 
     /** Resolved update threshold for a dataset. */
     double resolvedTheta(const graph::DatasetSpec &dataset) const;
+
+    /**
+     * Whether a run on `dataset` reads per-vertex degrees: true iff
+     * selective updating keeps fewer than all of the profile's
+     * vertices (mapping::keptVertexCount). Otherwise every vertex is
+     * rewritten each epoch, the mapping artifacts are a closed form
+     * of the vertex count, and the profile may be left empty.
+     */
+    bool readsDegrees(const graph::DatasetSpec &dataset) const;
 };
 
 /**
- * Degree profile of a workload's (synthetic) graph plus the derived
- * mapping artifacts, computed once and shared by the timing model.
+ * Degree profile of a workload's (synthetic) graph, computed once and
+ * shared by the runs that read degrees (ExecutionPolicy::readsDegrees).
  */
 struct VertexProfile
 {
@@ -81,6 +90,9 @@ struct VertexProfile
     /** Build by sampling the dataset's degree distribution. */
     static VertexProfile build(const graph::DatasetSpec &dataset,
                                uint64_t seed);
+
+    /** Vertices build() samples for `dataset`: max(2, |V|). */
+    static uint64_t vertexCount(const graph::DatasetSpec &dataset);
 };
 
 } // namespace gopim::gcn

@@ -77,14 +77,20 @@ DatasetCatalog::degreeSequence(const DatasetSpec &spec, double scale,
 {
     GOPIM_ASSERT(scale > 0.0 && scale <= 1.0,
                  "dataset scale must be in (0, 1]");
-    const auto n = std::max<uint64_t>(
-        2, static_cast<uint64_t>(
-               static_cast<double>(spec.numVertices) * scale));
+    const uint64_t n = scaledVertexCount(spec, scale);
     const auto maxDeg = static_cast<uint32_t>(
         std::min<double>(static_cast<double>(n) - 1.0,
                          spec.avgDegree * 50.0));
     return powerLawDegreeSequence(n, spec.avgDegree, 2.1,
                                   std::max<uint32_t>(maxDeg, 2), rng);
+}
+
+uint64_t
+DatasetCatalog::scaledVertexCount(const DatasetSpec &spec, double scale)
+{
+    return std::max<uint64_t>(
+        2, static_cast<uint64_t>(
+               static_cast<double>(spec.numVertices) * scale));
 }
 
 Graph
@@ -101,9 +107,7 @@ DatasetCatalog::scaled(const DatasetSpec &spec, double scale)
     GOPIM_ASSERT(scale > 0.0 && scale <= 1.0,
                  "dataset scale must be in (0, 1]");
     DatasetSpec out = spec;
-    out.numVertices = std::max<uint64_t>(
-        2, static_cast<uint64_t>(
-               static_cast<double>(spec.numVertices) * scale));
+    out.numVertices = scaledVertexCount(spec, scale);
     out.numEdges = std::max<uint64_t>(
         1, static_cast<uint64_t>(
                static_cast<double>(spec.numEdges) * scale));

@@ -68,6 +68,10 @@ class DatasetCatalog
     static std::vector<uint32_t> degreeSequence(const DatasetSpec &spec,
                                                 double scale, Rng &rng);
 
+    /** Length of degreeSequence(spec, scale, ...): at least 2. */
+    static uint64_t scaledVertexCount(const DatasetSpec &spec,
+                                      double scale);
+
     /**
      * Materialize a synthetic graph matching the (scaled) spec via
      * Chung-Lu sampling on the degree sequence above.

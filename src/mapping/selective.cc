@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/math_utils.hh"
 
 namespace gopim::mapping {
 
@@ -12,14 +13,19 @@ adaptiveTheta(double avgDegree)
     return avgDegree <= 8.0 ? 0.8 : 0.5;
 }
 
-std::vector<bool>
-selectImportant(const std::vector<uint32_t> &degrees, double theta)
+size_t
+keptVertexCount(size_t n, double theta)
 {
     GOPIM_ASSERT(theta >= 0.0 && theta <= 1.0,
                  "theta must be in [0, 1]");
+    return static_cast<size_t>(static_cast<double>(n) * theta + 0.5);
+}
+
+std::vector<bool>
+selectImportant(const std::vector<uint32_t> &degrees, double theta)
+{
     const size_t n = degrees.size();
-    const auto keep = static_cast<size_t>(
-        static_cast<double>(n) * theta + 0.5);
+    const size_t keep = keptVertexCount(n, theta);
 
     // Non-selective systems (theta = 1) keep everything: no ranking.
     if (keep >= n)
@@ -68,6 +74,60 @@ epochUpdateSlots(const VertexAssignment &assignment,
     const auto writes =
         expectedEpochWrites(assignment, important, params);
     return *std::max_element(writes.begin(), writes.end());
+}
+
+UpdateLoad
+selectiveLoad(const std::vector<uint32_t> &degrees, uint32_t rowsPerGroup,
+              VertexMapStrategy strategy,
+              const SelectiveUpdateParams &params)
+{
+    GOPIM_ASSERT(!degrees.empty(), "cannot map zero vertices");
+    GOPIM_ASSERT(rowsPerGroup > 0, "row group must hold >= 1 vertex");
+    GOPIM_ASSERT(params.coldPeriod >= 1, "cold period must be >= 1");
+    const auto n = static_cast<uint32_t>(degrees.size());
+    const size_t keep = keptVertexCount(n, params.theta);
+    const auto numGroups = static_cast<uint32_t>(ceilDiv(n, rowsPerGroup));
+
+    const std::vector<uint32_t> order = rankByDegree(degrees);
+    std::vector<uint32_t> rankOf(n);
+    for (uint32_t rank = 0; rank < n; ++rank)
+        rankOf[order[rank]] = rank;
+
+    UpdateLoad load;
+    load.hotVertices = std::min<size_t>(keep, n);
+    load.numVertices = n;
+    load.groupWrites.assign(numGroups, 0.0);
+    const double coldRate = 1.0 / params.coldPeriod;
+    for (uint32_t v = 0; v < n; ++v) {
+        const uint32_t rank = rankOf[v];
+        const uint32_t group = strategy == VertexMapStrategy::Interleaved
+                                   ? rank % numGroups
+                                   : v / rowsPerGroup;
+        load.groupWrites[group] += rank < keep ? 1.0 : coldRate;
+    }
+    return load;
+}
+
+UpdateLoad
+fullUpdateLoad(uint64_t numVertices, uint32_t rowsPerGroup,
+               VertexMapStrategy strategy)
+{
+    GOPIM_ASSERT(numVertices > 0, "cannot map zero vertices");
+    GOPIM_ASSERT(rowsPerGroup > 0, "row group must hold >= 1 vertex");
+    const uint64_t numGroups = ceilDiv(numVertices, rowsPerGroup);
+    UpdateLoad load;
+    load.hotVertices = numVertices;
+    load.numVertices = numVertices;
+    load.groupWrites.resize(numGroups);
+    for (uint64_t g = 0; g < numGroups; ++g) {
+        const uint64_t size =
+            strategy == VertexMapStrategy::Interleaved
+                ? numVertices / numGroups + (g < numVertices % numGroups)
+                : std::min<uint64_t>(rowsPerGroup,
+                                     numVertices - g * rowsPerGroup);
+        load.groupWrites[g] = static_cast<double>(size);
+    }
+    return load;
 }
 
 uint64_t

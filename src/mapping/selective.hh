@@ -37,9 +37,16 @@ struct SelectiveUpdateParams
 double adaptiveTheta(double avgDegree);
 
 /**
- * Mark the top `theta` fraction of vertices by degree as important,
- * taken from rankByDegree (ties break toward the lower vertex id).
- * When the rounded count covers every vertex (theta = 1, the
+ * Vertices selective updating rewrites every epoch: n * theta rounded
+ * to the nearest integer. The one keep rule — selectImportant and
+ * gcn::ExecutionPolicy::readsDegrees both apply it.
+ */
+size_t keptVertexCount(size_t n, double theta);
+
+/**
+ * Mark the top keptVertexCount(n, theta) vertices by degree as
+ * important, taken from rankByDegree (ties break toward the lower
+ * vertex id). When that count covers every vertex (theta = 1, the
  * non-selective systems) all are marked without ranking.
  */
 std::vector<bool> selectImportant(const std::vector<uint32_t> &degrees,
@@ -70,6 +77,40 @@ std::vector<double> expectedEpochWrites(
 double epochUpdateSlots(const VertexAssignment &assignment,
                         const std::vector<bool> &important,
                         const SelectiveUpdateParams &params);
+
+/**
+ * What the update bound and the wear model read of a mapped, selected
+ * vertex set: per-group expected writes and the hot-vertex count.
+ */
+struct UpdateLoad
+{
+    /** expectedEpochWrites of the mapping and selection. */
+    std::vector<double> groupWrites;
+    /** Vertices rewritten every epoch (the rest once per cold period). */
+    uint64_t hotVertices = 0;
+    uint64_t numVertices = 0;
+};
+
+/**
+ * The load of mapping `degrees.size()` vertices with `strategy` and
+ * keeping the top params.theta: exactly expectedEpochWrites(
+ * mapVertices(...), selectImportant(...), params), from one
+ * rankByDegree that feeds both the interleaved deal and the
+ * importance cut. Writes accumulate in vertex-id order.
+ */
+UpdateLoad selectiveLoad(const std::vector<uint32_t> &degrees,
+                         uint32_t rowsPerGroup, VertexMapStrategy strategy,
+                         const SelectiveUpdateParams &params);
+
+/**
+ * selectiveLoad when every vertex is kept, in closed form: each group
+ * writes its size, whatever the degrees. Index-based groups hold
+ * rowsPerGroup vertices and the last one the remainder; the
+ * interleaved deal gives the first n mod G of its G groups
+ * ceil(n / G) vertices and the rest floor(n / G).
+ */
+UpdateLoad fullUpdateLoad(uint64_t numVertices, uint32_t rowsPerGroup,
+                          VertexMapStrategy strategy);
 
 /** Sum of degrees of dropped (non-important) vertices, for reporting. */
 uint64_t droppedDegreeMass(const std::vector<uint32_t> &degrees,

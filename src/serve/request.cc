@@ -1,6 +1,7 @@
 #include "serve/request.hh"
 
 #include <algorithm>
+#include <istream>
 #include <limits>
 #include <vector>
 
@@ -433,6 +434,56 @@ errorResponseLine(const std::string &id, const RequestError &error)
         line += ",\"field\":\"" + json::escape(error.field) + "\"";
     line += ",\"error\":\"" + json::escape(error.message) + "\"}";
     return line;
+}
+
+LineRead
+readRequestLine(std::istream &in, std::string *line, size_t maxBytes)
+{
+    line->clear();
+    bool extracted = false, tooLong = false;
+    char chunk[16 * 1024];
+    while (true) {
+        in.getline(chunk, sizeof chunk);
+        auto stored = static_cast<size_t>(in.gcount());
+        extracted = extracted || stored > 0;
+        // failbit alone means the chunk filled before the newline.
+        const bool partial = in.fail() && !in.eof() && !in.bad();
+        if (in.good())
+            --stored; // the newline was extracted, not stored
+        if (!tooLong && line->size() + stored > maxBytes) {
+            tooLong = true;
+            std::string().swap(*line);
+        }
+        if (!tooLong) {
+            const size_t needed = line->size() + stored;
+            if (needed > line->capacity()) {
+                // Grow by hand: a fresh string's reserve allocates
+                // exactly the request, so capacity never passes the
+                // cap (append and reserve on *line may double past
+                // it).
+                std::string grown;
+                grown.reserve(std::min(
+                    maxBytes, std::max(needed, 2 * line->capacity())));
+                grown.append(*line);
+                line->swap(grown);
+            }
+            line->append(chunk, stored);
+        }
+        if (!partial)
+            break;
+        in.clear();
+    }
+    if (!extracted)
+        return LineRead::End;
+    return tooLong ? LineRead::TooLong : LineRead::Line;
+}
+
+RequestError
+lineTooLongError(size_t maxBytes)
+{
+    return {"line_too_long", "",
+            "request line exceeds " + std::to_string(maxBytes) +
+                " bytes; skipped to the next newline"};
 }
 
 std::string

@@ -11,9 +11,11 @@
 #ifndef GOPIM_SERVE_REQUEST_HH
 #define GOPIM_SERVE_REQUEST_HH
 
+#include <iosfwd>
 #include <string>
 
 #include "common/json.hh"
+#include "common/net.hh"
 #include "core/systems.hh"
 #include "fault/model.hh"
 #include "gcn/workload.hh"
@@ -113,6 +115,28 @@ RequestError parseRequest(const json::Value &body,
  */
 std::string errorResponseLine(const std::string &id,
                               const RequestError &error);
+
+/** Outcome of readRequestLine. */
+enum class LineRead
+{
+    Line,    ///< `line` holds the next line
+    TooLong, ///< the line passed the cap and was skipped
+    End,     ///< no input left
+};
+
+/**
+ * Read the next '\n'-terminated JSONL line (a final unterminated one
+ * counts) into `line`, without the newline. Reads in bulk chunks and
+ * never holds more than `maxBytes` of a line: a longer one is dropped
+ * through its newline and reported as TooLong, so the caller answers
+ * it with lineTooLongError and keeps serving. The default cap is the
+ * TCP frame limit, so no transport accepts a larger request.
+ */
+LineRead readRequestLine(std::istream &in, std::string *line,
+                         size_t maxBytes = net::kMaxFrameBytes);
+
+/** The structured error answering a TooLong line. */
+RequestError lineTooLongError(size_t maxBytes = net::kMaxFrameBytes);
 
 /**
  * Fingerprint of the execution-relevant serving defaults: the cache

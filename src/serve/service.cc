@@ -93,38 +93,49 @@ Service::simulate(const ResolvedRequest &resolved) const
         system.sim.traceSink = sink;
     }
 
+    core::SystemConfig base;
+    if (resolved.hasBaseline) {
+        base = core::makeSystem(resolved.baseline);
+        base.sim = resolved.request.sim;
+        // The baseline runs in the same fault environment, so the
+        // speedup isolates the system, not the device health.
+        base.fault = resolved.request.fault;
+    }
+
     // The inference families compile to a StagePlan and run through
     // the workload runner; gcn-train keeps the accelerator path with
     // its fault machinery (parseRequest rejects fault knobs for the
     // others).
     const bool familyRun =
         resolved.request.family != workload::FamilyKind::GcnTrain;
+    const gcn::Workload &w = resolved.workload;
     core::RunResult run;
+    // One profile serves the request and its baseline, built only
+    // when one of them reads degrees (selective updating).
     gcn::VertexProfile profile;
     if (familyRun) {
         run = workload::runFamily(resolved.spec, system, config_.hw);
     } else {
-        profile = gcn::VertexProfile::build(resolved.workload.dataset,
-                                            resolved.workload.seed);
-        core::Accelerator accel(config_.hw, system);
-        run = accel.run(resolved.workload, profile);
+        if (system.policy.readsDegrees(w.dataset) ||
+            (resolved.hasBaseline &&
+             base.policy.readsDegrees(w.dataset))) {
+            profile = gcn::VertexProfile::build(w.dataset, w.seed);
+            if (config_.metrics) {
+                config_.metrics->counter("serve.profile.build.count")
+                    .add();
+                config_.metrics->counter("serve.profile.vertices")
+                    .add(profile.degrees.size());
+            }
+        }
+        run = core::Accelerator(config_.hw, system).run(w, profile);
     }
 
     json::Value result = core::runResultToJson(run);
     if (resolved.hasBaseline) {
-        core::SystemConfig base = core::makeSystem(resolved.baseline);
-        base.sim = resolved.request.sim;
-        // The baseline runs in the same fault environment, so the
-        // speedup isolates the system, not the device health.
-        base.fault = resolved.request.fault;
-        core::RunResult baseRun;
-        if (familyRun) {
-            baseRun = workload::runFamily(resolved.spec, base,
-                                          config_.hw);
-        } else {
-            core::Accelerator baseAccel(config_.hw, base);
-            baseRun = baseAccel.run(resolved.workload, profile);
-        }
+        const core::RunResult baseRun =
+            familyRun
+                ? workload::runFamily(resolved.spec, base, config_.hw)
+                : core::Accelerator(config_.hw, base).run(w, profile);
         result.set("baseline", baseRun.systemName);
         result.set("speedup", run.speedupOver(baseRun));
         result.set("energy_saving", run.energySavingOver(baseRun));
@@ -138,21 +149,14 @@ Service::simulate(const ResolvedRequest &resolved) const
 Service::Output
 Service::dispatch(const std::string &line, Envelope envelope)
 {
-    Output output;
+    Output output = accept();
     const bool metricsOn = config_.metrics != nullptr;
-    if (metricsOn) {
-        output.dispatchedUs = obs::profileNowUs();
-        config_.metrics->counter("serve.request.count").add();
-    }
 
     json::Value body;
     std::string parseError;
-    if (!json::Value::parse(line, &body, &parseError)) {
-        output.error = {"bad_json", "", "invalid JSON: " + parseError};
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        ++stream_.requests;
-        return output;
-    }
+    if (!json::Value::parse(line, &body, &parseError))
+        return reject(std::move(output),
+                      {"bad_json", "", "invalid JSON: " + parseError});
     if (body.isObject()) {
         // Echo the id even on validation failures.
         if (const json::Value *id = body.find("id");
@@ -179,22 +183,14 @@ Service::dispatch(const std::string &line, Envelope envelope)
     Request request;
     if (RequestError err =
             parseRequest(body, config_.defaults, &request);
-        !err.ok()) {
-        output.error = std::move(err);
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        ++stream_.requests;
-        return output;
-    }
+        !err.ok())
+        return reject(std::move(output), std::move(err));
     output.id = request.id;
 
     ResolvedRequest resolved;
     if (RequestError err = resolveRequest(request, &resolved);
-        !err.ok()) {
-        output.error = std::move(err);
-        std::lock_guard<std::mutex> lock(dispatchMutex_);
-        ++stream_.requests;
-        return output;
-    }
+        !err.ok())
+        return reject(std::move(output), std::move(err));
     const std::string key = cacheKey(resolved, config_.hw);
     output.key = key;
 
@@ -314,6 +310,26 @@ Service::dispatch(const std::string &line, Envelope envelope)
     return output;
 }
 
+Service::Output
+Service::accept()
+{
+    Output output;
+    if (config_.metrics) {
+        output.dispatchedUs = obs::profileNowUs();
+        config_.metrics->counter("serve.request.count").add();
+    }
+    return output;
+}
+
+Service::Output
+Service::reject(Output output, RequestError error)
+{
+    output.error = std::move(error);
+    std::lock_guard<std::mutex> lock(dispatchMutex_);
+    ++stream_.requests;
+    return output;
+}
+
 std::string
 Service::render(Output &output)
 {
@@ -423,10 +439,18 @@ Service::processStream(std::istream &in, std::ostream &out,
     std::deque<Pending> window;
 
     std::string line;
-    while (std::getline(in, line)) {
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
+    for (LineRead read; (read = readRequestLine(in, &line)) !=
+                        LineRead::End;) {
+        if (read == LineRead::TooLong) {
+            window.emplace_back();
+            window.back().output_ =
+                reject(accept(), lineTooLongError());
+        } else if (line.find_first_not_of(" \t\r") ==
+                   std::string::npos) {
             continue;
-        window.push_back(submit(line, envelope));
+        } else {
+            window.push_back(submit(line, envelope));
+        }
         // Flush every response whose turn has come and whose result
         // is ready, so output streams while the pool keeps working.
         while (!window.empty() && ready(window.front())) {

@@ -159,7 +159,9 @@ class Service
 
     /**
      * Read JSONL requests from `in` until EOF, write one JSONL
-     * response per request to `out` in input order. When `emitStats`
+     * response per request to `out` in input order. A line longer
+     * than the frame cap is answered with a line_too_long error and
+     * never buffered whole (readRequestLine). When `emitStats`
      * is set, a final {"type":"stats",...} line summarizes the
      * stream. Completed responses are flushed as soon as order
      * allows, so output streams while later requests still compute.
@@ -190,6 +192,10 @@ class Service
   private:
     /** Parse/validate/route one line; serial, in input order. */
     Output dispatch(const std::string &line, Envelope envelope);
+    /** A fresh Output for the next request (metrics stamped). */
+    Output accept();
+    /** Fail `output` with `error`, counting it as a stream request. */
+    Output reject(Output output, RequestError error);
     /** Render an Output to its final response line (may block). */
     std::string render(Output &output);
     /** Drop `key`'s coalescing entry once its future is ready. */

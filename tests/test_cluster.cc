@@ -38,6 +38,7 @@
 #include "serve/request.hh"
 #include "serve/service.hh"
 #include "sim/engine.hh"
+#include "overlong_line.hh"
 
 namespace gopim {
 namespace {
@@ -632,6 +633,39 @@ TEST(RouterShedTest, UndersizedShardShedsVisiblyInMetrics)
                   .findCounter("cluster.shed.count")
                   ->value(),
               stats.shed);
+}
+
+TEST(RouterLineCapTest, OverlongLineIsRejectedAndRoutingContinues)
+{
+    const std::string dir = tempDirFor("gopim_cluster_linecap");
+    ASSERT_FALSE(dir.empty());
+    cluster::RouterConfig config;
+    config.shards = spawnedShards(1, dir);
+    config.defaults = workerDefaults();
+    cluster::Router router(std::move(config));
+    ASSERT_EQ(router.start(), "");
+
+    // A line one byte past the frame cap, then a valid request: the
+    // first is answered with line_too_long, the second is served.
+    const std::string next =
+        "{\"id\":\"after\",\"dataset\":\"Cora\"}";
+    testing_util::OverlongLineBuf source(net::kMaxFrameBytes + 1,
+                                         next + "\n");
+    std::istream in(&source);
+    std::ostringstream out;
+    const cluster::Router::StreamStats stats =
+        router.processStream(in, out);
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.errors, 1u);
+
+    serve::ServiceConfig serviceConfig;
+    serviceConfig.defaults = workerDefaults();
+    serve::Service service(serviceConfig);
+    EXPECT_EQ(out.str(),
+              serve::errorResponseLine("", serve::lineTooLongError()) +
+                  "\n" +
+                  service.handleLine(next, serve::Envelope::Stable) +
+                  "\n");
 }
 
 TEST(RouterStartTest, FailsFastOnDeadEndpoint)

@@ -18,6 +18,7 @@
 #include "core/plan_cache.hh"
 #include "core/report.hh"
 #include "core/systems.hh"
+#include "fault/model.hh"
 #include "gcn/workload.hh"
 #include "predictor/predictor.hh"
 #include "sim/context.hh"
@@ -330,6 +331,96 @@ TEST(Harness, PlanSplitMatchesMonolithicRun)
     const RunResult again = accel.executePlan(plan, workload);
     EXPECT_EQ(split.makespanNs, again.makespanNs);
     EXPECT_EQ(split.energyPj, again.energyPj);
+}
+
+/** Every StagePlan field, compared exactly. */
+void
+expectSamePlan(const StagePlan &a, const StagePlan &b)
+{
+    ASSERT_EQ(a.stages.size(), b.stages.size());
+    for (size_t i = 0; i < a.stages.size(); ++i) {
+        EXPECT_EQ(a.stages[i].type, b.stages[i].type);
+        EXPECT_EQ(a.stages[i].layer, b.stages[i].layer);
+    }
+    EXPECT_EQ(a.totalMicroBatches, b.totalMicroBatches);
+    EXPECT_EQ(a.faultOn, b.faultOn);
+    const fault::RepairPlan &ra = a.repairPlan, &rb = b.repairPlan;
+    EXPECT_EQ(ra.policy, rb.policy);
+    EXPECT_EQ(ra.rawCellFaultRate, rb.rawCellFaultRate);
+    EXPECT_EQ(ra.residualCellFaultRate, rb.residualCellFaultRate);
+    EXPECT_EQ(ra.residualDriftPerEpoch, rb.residualDriftPerEpoch);
+    EXPECT_EQ(ra.writeAmplification, rb.writeAmplification);
+    EXPECT_EQ(ra.crossbarOverheadFactor, rb.crossbarOverheadFactor);
+    EXPECT_EQ(ra.refreshEveryMicroBatches, rb.refreshEveryMicroBatches);
+    EXPECT_EQ(ra.refreshStallNs, rb.refreshStallNs);
+    EXPECT_EQ(ra.rowWritesPerRefresh, rb.rowWritesPerRefresh);
+    EXPECT_EQ(ra.remapStallNs, rb.remapStallNs);
+    EXPECT_EQ(a.wearLifetimeFraction, b.wearLifetimeFraction);
+    EXPECT_EQ(a.wornRowFraction, b.wornRowFraction);
+    EXPECT_EQ(a.writeExposure, b.writeExposure);
+    EXPECT_EQ(a.replicas, b.replicas);
+    EXPECT_EQ(a.effectiveReplicas, b.effectiveReplicas);
+    EXPECT_EQ(a.totalCrossbars, b.totalCrossbars);
+    EXPECT_EQ(a.stageCrossbars, b.stageCrossbars);
+    EXPECT_EQ(a.stageTimesNs, b.stageTimesNs);
+    EXPECT_EQ(a.serverStageTimesNs, b.serverStageTimesNs);
+    EXPECT_EQ(a.totalActivations, b.totalActivations);
+    EXPECT_EQ(a.totalBufferBytes, b.totalBufferBytes);
+    EXPECT_EQ(a.replicatedWrites, b.replicatedWrites);
+}
+
+TEST(Harness, EmptyProfilePlansEqualFullProfilePlans)
+{
+    // Wherever a policy reads no degree, planning from an empty
+    // profile gives the plan the full profile gives, field for field.
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    size_t compared = 0, reading = 0;
+    for (const char *name : {"ddi", "Cora", "arxiv"}) {
+        for (const uint64_t seed : {1u, 7u}) {
+            auto workload = gcn::Workload::paperDefault(name);
+            workload.seed = seed;
+            const auto profile =
+                gcn::VertexProfile::build(workload.dataset, seed);
+            for (const SystemKind kind : allSystemKinds()) {
+                for (const bool faulty : {false, true}) {
+                    for (const bool fullTheta : {false, true}) {
+                        SystemConfig system = makeSystem(kind);
+                        if (faulty) {
+                            system.fault.params.stuckOnRate = 0.01;
+                            system.fault.repair =
+                                fault::RepairKind::SpareRows;
+                        }
+                        if (fullTheta) {
+                            system.policy.selectiveUpdate = true;
+                            system.policy.theta = 1.0;
+                        }
+                        if (system.policy.readsDegrees(
+                                workload.dataset)) {
+                            ++reading;
+                            continue;
+                        }
+                        const Accelerator accel(hw, system);
+                        expectSamePlan(
+                            accel.buildPlan(workload, {}),
+                            accel.buildPlan(workload, profile));
+                        ++compared;
+                    }
+                }
+            }
+        }
+    }
+    // GoPIM and +ISU read degrees at their default theta only.
+    EXPECT_EQ(reading, 3u * 2u * 2u * 2u);
+    EXPECT_EQ(compared, 3u * 2u * allSystemKinds().size() * 4u - reading);
+}
+
+TEST(HarnessDeathTest, SelectiveUpdatingWithoutAProfileIsFatal)
+{
+    const auto workload = gcn::Workload::paperDefault("ddi");
+    const Accelerator accel(reram::AcceleratorConfig::paperDefault(),
+                            makeSystem(SystemKind::GoPim));
+    EXPECT_DEATH(accel.buildPlan(workload, {}),
+                 "reads vertex degrees, but the profile is empty");
 }
 
 TEST(Harness, SparseGraphStillWins)

@@ -215,15 +215,17 @@ TEST(FaultRemapTest, RemapSteersLoadOntoHealthyGroupsAndLowersExposure)
 
 // ----------------------------- wear ----------------------------- //
 
-TEST(WearTest, ApproxWearRampsPastTheEnduranceRating)
+TEST(WearTest, FullUpdateWearRampsPastTheEnduranceRating)
 {
-    // At exactly the rating nothing is worn; 50% past it wears half
-    // the (spread-out) population.
-    const auto atRating = fault::approxWear(1.0, 100, 100.0);
+    // Every row rewritten each epoch: at exactly the rating nothing
+    // is worn; 50% past it wears half the (spread-out) population.
+    const auto load = mapping::fullUpdateLoad(
+        256, 64, mapping::VertexMapStrategy::IndexBased);
+    const auto atRating = fault::computeWear(load, 20, 100, 100.0);
     EXPECT_DOUBLE_EQ(atRating.wornRowFraction, 0.0);
     EXPECT_DOUBLE_EQ(atRating.lifetimeFraction, 1.0);
 
-    const auto past = fault::approxWear(1.0, 150, 100.0);
+    const auto past = fault::computeWear(load, 20, 150, 100.0);
     EXPECT_DOUBLE_EQ(past.wornRowFraction, 0.5);
     EXPECT_DOUBLE_EQ(past.meanWritesPerRowPerEpoch, 1.0);
 }
@@ -234,19 +236,17 @@ TEST(WearTest, SelectiveUpdatingPaysAReliabilityDividend)
     std::vector<uint32_t> degrees(256);
     for (size_t v = 0; v < degrees.size(); ++v)
         degrees[v] = static_cast<uint32_t>(256 - v);
-    const auto assignment = mapping::mapVertices(
-        degrees, 64, mapping::VertexMapStrategy::Interleaved);
 
     mapping::SelectiveUpdateParams params;
     params.theta = 0.5;
     params.coldPeriod = 20;
-    const auto important = mapping::selectImportant(degrees, 0.5);
-    const std::vector<bool> allHot(degrees.size(), true);
-
-    const auto isu = fault::computeWear(assignment, important, params,
-                                        150, 100.0);
-    const auto full = fault::computeWear(assignment, allHot, params,
-                                         150, 100.0);
+    const auto strategy = mapping::VertexMapStrategy::Interleaved;
+    const auto isu = fault::computeWear(
+        mapping::selectiveLoad(degrees, 64, strategy, params),
+        params.coldPeriod, 150, 100.0);
+    const auto full = fault::computeWear(
+        mapping::fullUpdateLoad(degrees.size(), 64, strategy),
+        params.coldPeriod, 150, 100.0);
 
     // Mean wear drops to theta + (1 - theta) / coldPeriod.
     EXPECT_NEAR(isu.meanWritesPerRowPerEpoch, 0.5 + 0.5 / 20.0, 1e-9);
@@ -254,6 +254,86 @@ TEST(WearTest, SelectiveUpdatingPaysAReliabilityDividend)
     EXPECT_LT(isu.wornRowFraction, full.wornRowFraction);
     EXPECT_LE(isu.peakGroupWritesPerEpoch,
               full.peakGroupWritesPerEpoch);
+}
+
+/**
+ * computeWear as it was before it took group writes: per-vertex
+ * assignment and importance vectors, kept as the reference.
+ */
+fault::WearState
+perVertexWear(const mapping::VertexAssignment &assignment,
+              const std::vector<bool> &important,
+              const mapping::SelectiveUpdateParams &params,
+              uint32_t epochs, double writeEndurance)
+{
+    fault::WearState wear;
+    wear.groupWritesPerEpoch =
+        mapping::expectedEpochWrites(assignment, important, params);
+    double total = 0.0;
+    for (const double writes : wear.groupWritesPerEpoch) {
+        total += writes;
+        wear.peakGroupWritesPerEpoch =
+            std::max(wear.peakGroupWritesPerEpoch, writes);
+    }
+    const auto numRows = static_cast<double>(important.size());
+    wear.meanWritesPerRowPerEpoch = total / numRows;
+    size_t hotRows = 0;
+    for (const bool hot : important)
+        hotRows += hot;
+    const double hotShare = static_cast<double>(hotRows) / numRows;
+    const double coldRate =
+        1.0 / static_cast<double>(std::max(1u, params.coldPeriod));
+    auto wornShare = [&](double writesPerEpoch) {
+        return std::clamp(writesPerEpoch * static_cast<double>(epochs) /
+                                  writeEndurance -
+                              1.0,
+                          0.0, 1.0);
+    };
+    wear.lifetimeFraction = static_cast<double>(epochs) /
+                            writeEndurance *
+                            (hotRows > 0 ? 1.0 : coldRate);
+    wear.wornRowFraction = hotShare * wornShare(1.0) +
+                           (1.0 - hotShare) * wornShare(coldRate);
+    return wear;
+}
+
+TEST(WearTest, GroupWritesWearEqualsPerVertexWear)
+{
+    Rng rng(23);
+    for (const uint32_t n : {2u, 65u, 300u, 4096u}) {
+        std::vector<uint32_t> degrees(n);
+        for (auto &d : degrees)
+            d = static_cast<uint32_t>(rng.uniformInt(40));
+        for (const auto strategy :
+             {mapping::VertexMapStrategy::IndexBased,
+              mapping::VertexMapStrategy::Interleaved}) {
+            for (const double theta : {0.0, 0.3, 0.5, 0.8, 1.0}) {
+                for (const uint32_t coldPeriod : {1u, 7u, 20u}) {
+                    mapping::SelectiveUpdateParams params;
+                    params.theta = theta;
+                    params.coldPeriod = coldPeriod;
+                    const auto reference = perVertexWear(
+                        mapping::mapVertices(degrees, 64, strategy),
+                        mapping::selectImportant(degrees, theta), params,
+                        120, 100.0);
+                    const auto wear = fault::computeWear(
+                        mapping::selectiveLoad(degrees, 64, strategy,
+                                               params),
+                        coldPeriod, 120, 100.0);
+                    EXPECT_EQ(wear.groupWritesPerEpoch,
+                              reference.groupWritesPerEpoch);
+                    EXPECT_EQ(wear.meanWritesPerRowPerEpoch,
+                              reference.meanWritesPerRowPerEpoch);
+                    EXPECT_EQ(wear.peakGroupWritesPerEpoch,
+                              reference.peakGroupWritesPerEpoch);
+                    EXPECT_EQ(wear.lifetimeFraction,
+                              reference.lifetimeFraction);
+                    EXPECT_EQ(wear.wornRowFraction,
+                              reference.wornRowFraction);
+                }
+            }
+        }
+    }
 }
 
 // ------------------------- repair policies ---------------------- //

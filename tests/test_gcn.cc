@@ -249,9 +249,33 @@ TEST_F(TimeModelTest, FullUpdateApproxMatchesBuiltArtifacts)
         profile, policy, w.dataset, cfg_.crossbar.rows);
     const auto approx = MappingArtifacts::fullUpdateApprox(
         w.dataset.numVertices, cfg_.crossbar.rows);
-    EXPECT_EQ(built.assignment.numGroups, approx.assignment.numGroups);
+    EXPECT_EQ(built.load.groupWrites, approx.load.groupWrites);
     EXPECT_DOUBLE_EQ(built.epochUpdateSlots, approx.epochUpdateSlots);
     EXPECT_DOUBLE_EQ(built.updateFraction, approx.updateFraction);
+}
+
+TEST(Workload, ReadsDegreesOnlyUnderSelectiveUpdating)
+{
+    const auto &ddi = graph::DatasetCatalog::byName("ddi");
+    ExecutionPolicy full; // every vertex rewritten each epoch
+    EXPECT_FALSE(full.readsDegrees(ddi));
+    ExecutionPolicy isu;
+    isu.selectiveUpdate = true; // adaptive theta < 1
+    EXPECT_TRUE(isu.readsDegrees(ddi));
+    isu.theta = 1.0;
+    EXPECT_FALSE(isu.readsDegrees(ddi));
+
+    // The keep rule counts the profile's vertices, max(2, |V|): on a
+    // two-vertex graph theta = 0.8 keeps round(1.6) = 2 of them.
+    graph::DatasetSpec tiny = ddi;
+    tiny.numVertices = 1;
+    EXPECT_EQ(VertexProfile::vertexCount(tiny), 2u);
+    EXPECT_EQ(VertexProfile::build(ddi, 1).degrees.size(),
+              VertexProfile::vertexCount(ddi));
+    isu.theta = 0.8;
+    EXPECT_FALSE(isu.readsDegrees(tiny));
+    isu.theta = 0.7;
+    EXPECT_TRUE(isu.readsDegrees(tiny));
 }
 
 class TrainerTest : public ::testing::Test

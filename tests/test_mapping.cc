@@ -286,6 +286,94 @@ TEST(Selective, EpochUpdateSlotsIsMaxGroupLoad)
     EXPECT_NEAR(slotsInter, 64 * (0.5 + 0.5 / 20.0), 3.0);
 }
 
+TEST(Selective, KeptVertexCountRoundsToNearest)
+{
+    EXPECT_EQ(keptVertexCount(10, 0.5), 5u);
+    EXPECT_EQ(keptVertexCount(10, 0.96), 10u);
+    EXPECT_EQ(keptVertexCount(10, 0.94), 9u);
+    EXPECT_EQ(keptVertexCount(2, 0.8), 2u); // 1.6 rounds up to n
+    EXPECT_EQ(keptVertexCount(3, 0.0), 0u);
+    EXPECT_EQ(keptVertexCount(7, 1.0), 7u);
+}
+
+TEST(Selective, SelectiveLoadMatchesPerVertexWrites)
+{
+    // One ranking feeding both the deal and the cut gives exactly the
+    // writes of the separate mapVertices + selectImportant path.
+    for (const auto &degrees : rankingInputs()) {
+        if (degrees.empty())
+            continue;
+        for (const uint32_t rows : {1u, 4u, 64u})
+            for (const auto strategy : {VertexMapStrategy::IndexBased,
+                                        VertexMapStrategy::Interleaved})
+                for (const double theta : {0.0, 0.25, 0.5, 0.8, 1.0})
+                    for (const uint32_t coldPeriod : {1u, 20u}) {
+                        const SelectiveUpdateParams params{
+                            .theta = theta, .coldPeriod = coldPeriod};
+                        const auto important =
+                            selectImportant(degrees, theta);
+                        const auto load = selectiveLoad(
+                            degrees, rows, strategy, params);
+                        EXPECT_EQ(load.groupWrites,
+                                  expectedEpochWrites(
+                                      mapVertices(degrees, rows,
+                                                  strategy),
+                                      important, params))
+                            << "n = " << degrees.size()
+                            << ", rows = " << rows
+                            << ", theta = " << theta;
+                        EXPECT_EQ(load.hotVertices,
+                                  static_cast<uint64_t>(std::count(
+                                      important.begin(), important.end(),
+                                      true)));
+                        EXPECT_EQ(load.numVertices, degrees.size());
+                    }
+    }
+}
+
+TEST(Selective, FullUpdateLoadIsTheGroupSizes)
+{
+    const auto index = VertexMapStrategy::IndexBased;
+    const auto inter = VertexMapStrategy::Interleaved;
+    // n = 65 over rows of 64: two groups, dealt 33 + 32, or filled
+    // 64 + 1 in id order.
+    EXPECT_EQ(fullUpdateLoad(65, 64, inter).groupWrites,
+              (std::vector<double>{33.0, 32.0}));
+    EXPECT_EQ(fullUpdateLoad(65, 64, index).groupWrites,
+              (std::vector<double>{64.0, 1.0}));
+    // Fewer vertices than rows: one partly filled group.
+    EXPECT_EQ(fullUpdateLoad(10, 64, inter).groupWrites,
+              (std::vector<double>{10.0}));
+    EXPECT_EQ(fullUpdateLoad(10, 64, index).groupWrites,
+              (std::vector<double>{10.0}));
+    // 300 over 64: 5 groups; 300 mod 5 = 0, so the deal is even.
+    EXPECT_EQ(fullUpdateLoad(300, 64, inter).groupWrites,
+              (std::vector<double>(5, 60.0)));
+
+    // The closed form is what the per-vertex sum gives once every
+    // vertex is kept, whatever the degrees.
+    Rng rng(31);
+    for (const uint32_t n : {1u, 2u, 63u, 64u, 65u, 127u, 129u, 1000u})
+        for (const uint32_t rows : {1u, 3u, 64u})
+            for (const auto strategy : {index, inter}) {
+                std::vector<uint32_t> degrees(n);
+                for (auto &d : degrees)
+                    d = static_cast<uint32_t>(rng.uniformInt(50));
+                const auto full = fullUpdateLoad(n, rows, strategy);
+                for (const double theta : {1.0, 0.999}) {
+                    if (keptVertexCount(n, theta) < n)
+                        continue;
+                    const auto perVertex = selectiveLoad(
+                        degrees, rows, strategy,
+                        {.theta = theta, .coldPeriod = 20});
+                    EXPECT_EQ(full.groupWrites, perVertex.groupWrites)
+                        << "n = " << n << ", rows = " << rows;
+                    EXPECT_EQ(full.hotVertices, perVertex.hotVertices);
+                    EXPECT_EQ(full.numVertices, perVertex.numVertices);
+                }
+            }
+}
+
 TEST(Selective, DroppedDegreeMassSmallUnderDegreeRanking)
 {
     Rng rng(9);

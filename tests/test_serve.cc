@@ -21,13 +21,19 @@
 
 #include <gtest/gtest.h>
 
+#include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
+#include "common/net.hh"
+#include "core/options.hh"
+#include "gcn/workload.hh"
+#include "graph/datasets.hh"
 #include "obs/metrics.hh"
 #include "serve/cache.hh"
 #include "serve/request.hh"
 #include "serve/service.hh"
 #include "sim/engine.hh"
+#include "overlong_line.hh"
 
 namespace gopim {
 namespace {
@@ -859,6 +865,170 @@ TEST(ServiceTest, MetricsRecordLatenciesAndOutcomes)
     EXPECT_EQ(latency->count(), 3u);
     ASSERT_NE(m.findHistogram("serve.queue.wait_us"), nullptr);
     EXPECT_EQ(m.findHistogram("serve.queue.wait_us")->count(), 1u);
+}
+
+TEST(ServiceTest, ProfileCountersCountOnlySelectiveMisses)
+{
+    // Only a miss whose system or baseline updates selectively reads
+    // degrees, so only it builds a vertex profile: not ReGraphX vs
+    // Serial (faulty or not), not GoPIM at theta 1, not a cache hit.
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.metrics = std::make_shared<obs::MetricsRegistry>();
+    serve::Service service(config);
+    const std::string selective =
+        "{\"dataset\":\"Cora\",\"system\":\"GoPIM\","
+        "\"baseline\":\"Serial\"}";
+    std::istringstream in(
+        selective + "\n" +
+        "{\"dataset\":\"Cora\",\"system\":\"ReGraphX\","
+        "\"baseline\":\"Serial\"}\n"
+        "{\"dataset\":\"Cora\",\"system\":\"ReGraphX\","
+        "\"baseline\":\"Serial\",\"stuck_on_rate\":0.01,"
+        "\"repair\":\"spare-rows\"}\n"
+        "{\"dataset\":\"ddi\",\"system\":\"GoPIM\","
+        "\"baseline\":\"Serial\",\"theta\":1.0}\n" +
+        selective + "\n");
+    std::ostringstream out;
+    const auto stats = service.processStream(in, out);
+    EXPECT_EQ(stats.requests, 5u);
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(service.hits(), 1u);
+
+    const auto &m = *config.metrics;
+    ASSERT_NE(m.findCounter("serve.profile.build.count"), nullptr);
+    EXPECT_EQ(m.findCounter("serve.profile.build.count")->value(), 1u);
+    EXPECT_EQ(m.findCounter("serve.profile.vertices")->value(),
+              gcn::VertexProfile::vertexCount(
+                  graph::DatasetCatalog::byName("Cora")));
+}
+
+/**
+ * Stable-envelope responses to every system on ddi and Cora, seeds 1
+ * and 7, fault-free and with spare-row repair, at the default theta,
+ * theta 1 and theta 0.3: the lines whose bytes are pinned below.
+ */
+std::string
+pinnedRequestStream()
+{
+    std::string stream;
+    int id = 0;
+    for (const char *dataset : {"ddi", "Cora"})
+        for (const char *system :
+             {"Serial", "SlimGNN-like", "ReGraphX", "ReFlip",
+              "GoPIM-Vanilla", "GoPIM", "+PP", "+ISU", "Naive"})
+            for (const int seed : {1, 7})
+                for (const char *fault :
+                     {"", ",\"stuck_on_rate\":0.01,"
+                          "\"repair\":\"spare-rows\""})
+                    for (const char *theta :
+                         {"", ",\"theta\":1.0", ",\"theta\":0.3"})
+                        stream += "{\"id\":\"p" +
+                                  std::to_string(id++) +
+                                  "\",\"dataset\":\"" + dataset +
+                                  "\",\"system\":\"" + system +
+                                  "\",\"baseline\":\"Serial\","
+                                  "\"seed\":" +
+                                  std::to_string(seed) + fault + theta +
+                                  "}\n";
+    return stream;
+}
+
+TEST(ServiceTest, ResponseBytesArePinned)
+{
+    // FNV-1a of the whole response stream. Runs that read no degree
+    // take the closed-form mapping path and the rest the per-vertex
+    // one; the digest pins both to the bytes every system, fault
+    // setting and theta produced when each run still built its own
+    // profile. Served under the defaults of a flag-less gopim_serve,
+    // so the cache keys are the ones that tool prints too.
+    Flags flags("test", "");
+    core::addSimFlags(flags);
+    const char *argv[] = {"test"};
+    flags.parse(1, const_cast<char **>(argv));
+    serve::ServiceConfig config;
+    config.jobs = 2;
+    config.defaults.sim = core::simContextFromFlags(flags);
+    config.defaults.fault = core::faultConfigFromFlags(flags);
+    serve::Service service(config);
+    std::istringstream in(pinnedRequestStream());
+    std::ostringstream out;
+    const auto stats =
+        service.processStream(in, out, false, serve::Envelope::Stable);
+    EXPECT_EQ(stats.requests, 216u);
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(hexDigest64(fnv1a64(out.str())), "5bef6ddd1fd9c9fa");
+}
+
+TEST(ServiceTest, OverlongLineIsRejectedAndServingContinues)
+{
+    const std::string next = "{\"id\":\"after\",\"dataset\":\"Cora\"}";
+
+    // The reader: TooLong, then the next line, then the end; its
+    // buffer never grows past the cap on the way.
+    {
+        std::string line;
+        testing_util::OverlongLineBuf source(net::kMaxFrameBytes + 1,
+                                             next + "\n", &line);
+        std::istream in(&source);
+        EXPECT_EQ(serve::readRequestLine(in, &line),
+                  serve::LineRead::TooLong);
+        EXPECT_GT(source.maxWatchedCapacity(), net::kMaxFrameBytes / 2);
+        EXPECT_LE(source.maxWatchedCapacity(), net::kMaxFrameBytes);
+        EXPECT_LE(line.capacity(), net::kMaxFrameBytes);
+        EXPECT_EQ(serve::readRequestLine(in, &line),
+                  serve::LineRead::Line);
+        EXPECT_EQ(line, next);
+        EXPECT_EQ(serve::readRequestLine(in, &line),
+                  serve::LineRead::End);
+    }
+
+    // The Service answers in order and keeps serving.
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    serve::Service service(config);
+    testing_util::OverlongLineBuf source(net::kMaxFrameBytes + 1, next);
+    std::istream in(&source);
+    std::ostringstream out;
+    const auto stats =
+        service.processStream(in, out, false, serve::Envelope::Stable);
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.errors, 1u);
+    std::istringstream lines(out.str());
+    std::string first, second, extra;
+    ASSERT_TRUE(std::getline(lines, first));
+    ASSERT_TRUE(std::getline(lines, second));
+    EXPECT_FALSE(std::getline(lines, extra));
+    EXPECT_EQ(first, serve::errorResponseLine(
+                         "", serve::lineTooLongError()));
+    EXPECT_TRUE(lineSays(first, "\"code\":\"line_too_long\"")) << first;
+    EXPECT_EQ(second, service.handleLine(next, serve::Envelope::Stable));
+}
+
+TEST(ServiceTest, LineCapBoundaryAcrossReadChunks)
+{
+    // Lines straddle the reader's internal chunks; exactly the cap is
+    // a line, one byte more is TooLong, and blank or unterminated
+    // lines read as before.
+    const size_t cap = 40000;
+    std::istringstream in(std::string(cap, 'a') + "\n" +
+                          std::string(cap + 1, 'b') + "\n\n" +
+                          std::string(cap, 'c'));
+    std::string line;
+    ASSERT_EQ(serve::readRequestLine(in, &line, cap),
+              serve::LineRead::Line);
+    EXPECT_EQ(line, std::string(cap, 'a'));
+    EXPECT_EQ(serve::readRequestLine(in, &line, cap),
+              serve::LineRead::TooLong);
+    EXPECT_LE(line.capacity(), cap);
+    ASSERT_EQ(serve::readRequestLine(in, &line, cap),
+              serve::LineRead::Line);
+    EXPECT_EQ(line, "");
+    ASSERT_EQ(serve::readRequestLine(in, &line, cap),
+              serve::LineRead::Line);
+    EXPECT_EQ(line, std::string(cap, 'c'));
+    EXPECT_EQ(serve::readRequestLine(in, &line, cap),
+              serve::LineRead::End);
 }
 
 } // namespace
