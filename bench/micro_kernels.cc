@@ -2,7 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks for the simulator's hot kernels:
  * the greedy heap allocator vs the bottleneck-sweep reference (the
- * paper's decision-time claim), pipeline scheduling, vertex mapping,
+ * paper's decision-time claim), the allocation memo's hit path,
+ * pipeline scheduling, vertex mapping,
  * the degree ranking, the vertex-profile build, graph generation, and
  * the MVM kernel of the tensor substrate.
  *
@@ -14,6 +15,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,7 +26,10 @@
 #include "common/logging.hh"
 #include "alloc/dp.hh"
 #include "alloc/greedy_heap.hh"
+#include "alloc/memo.hh"
 #include "common/rng.hh"
+#include "core/accelerator.hh"
+#include "core/systems.hh"
 #include "gcn/time_model.hh"
 #include "gcn/workload.hh"
 #include "graph/generators.hh"
@@ -68,6 +73,67 @@ BM_GreedyHeapAllocator(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GreedyHeapAllocator)->Arg(8)->Arg(12)->Arg(24);
+
+/** Passes allocate() through and keeps the last problem it saw. */
+class CapturingAllocator : public alloc::Allocator
+{
+  public:
+    alloc::AllocationResult
+    allocate(const alloc::AllocationProblem &problem) const override
+    {
+        captured = problem;
+        return alloc::GreedyHeapAllocator().allocate(problem);
+    }
+    std::string name() const override { return "Capturing"; }
+
+    mutable alloc::AllocationProblem captured;
+};
+
+/** The problem GoPIM's plan hands Algorithm 1 on Cora. */
+alloc::AllocationProblem
+coraGoPimProblem()
+{
+    const auto workload = gcn::Workload::paperDefault("Cora");
+    auto system = core::makeSystem(core::SystemKind::GoPim);
+    auto capturing = std::make_shared<CapturingAllocator>();
+    system.allocator = capturing;
+    core::Accelerator(reram::AcceleratorConfig::paperDefault(), system)
+        .buildPlan(workload, gcn::VertexProfile::build(workload.dataset,
+                                                       workload.seed));
+    return capturing->captured;
+}
+
+void
+BM_GreedyHeapAllocate(benchmark::State &state)
+{
+    // A cold Algorithm 1 run on a real serve-miss problem: what a
+    // Service's allocation memo saves on every hit.
+    const auto problem = coraGoPimProblem();
+    const alloc::GreedyHeapAllocator allocator;
+    for (auto _ : state) {
+        auto result = allocator.allocate(problem);
+        benchmark::DoNotOptimize(result);
+    }
+}
+BENCHMARK(BM_GreedyHeapAllocate);
+
+void
+BM_AllocationMemoHit(benchmark::State &state)
+{
+    // The same problem answered by the memo: exact key, fingerprint,
+    // bucket lookup, full-key compare, result copy.
+    const auto problem = coraGoPimProblem();
+    alloc::AllocationMemo memo;
+    const auto allocator = alloc::memoized(
+        std::make_shared<alloc::GreedyHeapAllocator>(), &memo);
+    allocator->allocate(problem);
+    for (auto _ : state) {
+        auto result = allocator->allocate(problem);
+        benchmark::DoNotOptimize(result);
+    }
+    GOPIM_ASSERT(memo.misses() == 1, "memo hit path missed");
+}
+BENCHMARK(BM_AllocationMemoHit);
 
 void
 BM_BottleneckSweepAllocator(benchmark::State &state)

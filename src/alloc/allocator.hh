@@ -82,6 +82,15 @@ class Allocator
     /** Policy name for reports. */
     virtual std::string name() const = 0;
 
+    /**
+     * Bytes naming this policy and every parameter allocate() reads,
+     * for memoization (alloc::AllocationMemo): two allocators with
+     * equal non-empty keys must return equal results for equal
+     * problems. Empty (the default) opts out — right for the O(n)
+     * baselines, whose allocate() costs less than a lookup.
+     */
+    virtual std::string memoKey() const { return {}; }
+
   protected:
     /** Fill totalCrossbars and clamp replicas to >= 1. */
     static AllocationResult finish(const AllocationProblem &problem,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace gopim::alloc {
@@ -121,6 +122,15 @@ GreedyHeapAllocator::GreedyHeapAllocator(uint32_t maxReplicasPerStage,
     : maxReplicas_(maxReplicasPerStage), relStopTol_(relStopTol)
 {
     GOPIM_ASSERT(relStopTol >= 0.0, "stop tolerance must be >= 0");
+}
+
+std::string
+GreedyHeapAllocator::memoKey() const
+{
+    std::string key = name();
+    packKey(&key, maxReplicas_);
+    packKey(&key, relStopTol_);
+    return key;
 }
 
 AllocationResult

@@ -87,6 +87,7 @@ class GreedyHeapAllocator : public Allocator
     AllocationResult allocate(
         const AllocationProblem &problem) const override;
     std::string name() const override { return "GreedyHeap"; }
+    std::string memoKey() const override;
 
   private:
     uint32_t maxReplicas_;

@@ -11,8 +11,10 @@
 #define GOPIM_COMMON_HASH_HH
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace gopim {
 
@@ -25,6 +27,23 @@ uint64_t fnv1a64(std::string_view data,
 
 /** Fixed-width (16 char) lowercase hex rendering of a 64-bit hash. */
 std::string hexDigest64(uint64_t hash);
+
+/**
+ * Append the native bytes of a fixed-width value to a binary memo key
+ * (FingerprintCache). Keys built this way are exact: a double keys by
+ * its bit pattern (-0.0 and 0.0 key differently on purpose), and
+ * callers prefix each variable-length section with its length so two
+ * inputs can never concatenate to the same bytes.
+ */
+template <typename T>
+inline void
+packKey(std::string *key, T value)
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    key->append(bytes, sizeof value);
+}
 
 } // namespace gopim
 

@@ -31,10 +31,29 @@ class Rng
     explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
     /** Next raw 64-bit draw. */
-    uint64_t next();
+    uint64_t
+    next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits give a uniform double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -76,6 +95,12 @@ class Rng
     Rng fork();
 
   private:
+    static uint64_t
+    rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
     bool hasCachedNormal_ = false;
     double cachedNormal_ = 0.0;

@@ -85,9 +85,9 @@ ComparisonHarness::runMemoized(const Accelerator &accel,
     const std::string key =
         planConfigPrefix(accel.system(), hw_, workload).canonical();
     const uint64_t fingerprint = fnv1a64(key);
-    if (const StagePlan *plan = planCache_.find(fingerprint, key))
+    if (const auto plan = planCache_.find(fingerprint, key))
         return accel.executePlan(*plan, workload);
-    const StagePlan *plan = planCache_.insert(
+    const auto plan = planCache_.insert(
         fingerprint, key, accel.buildPlan(workload, profile));
     return accel.executePlan(*plan, workload);
 }

@@ -6,65 +6,25 @@
  * sim context — engine, seed, event knobs — reuse one plan instead
  * of re-running mapping, costing, fault planning, and allocation.
  *
- * Keys are two-level: an FNV-1a fingerprint of the prefix JSON
- * buckets the entries, and the full prefix string is compared inside
- * the bucket — so a fingerprint collision between two different
- * configurations can never alias their plans (pinned by the
- * cache-poisoning test in tests/test_core.cc).
+ * Keys are two-level (common/fingerprint_cache.hh): an FNV-1a
+ * fingerprint of the prefix JSON buckets the entries, and the full
+ * prefix string is compared inside the bucket — so a fingerprint
+ * collision between two different configurations can never alias
+ * their plans (pinned by the cache-poisoning test in
+ * tests/test_core.cc).
  */
 
 #ifndef GOPIM_CORE_PLAN_CACHE_HH
 #define GOPIM_CORE_PLAN_CACHE_HH
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
+#include "common/fingerprint_cache.hh"
 #include "core/accelerator.hh"
 
 namespace gopim::core {
 
-/** Fingerprint-bucketed, full-key-verified StagePlan cache. */
-class PlanCache
+/** Unbounded, full-key-verified StagePlan cache. */
+class PlanCache : public FingerprintCache<StagePlan>
 {
-  public:
-    /**
-     * The cached plan for (fingerprint, key), or nullptr. Returned
-     * pointers stay valid until clear() — entries are never evicted.
-     */
-    const StagePlan *find(uint64_t fingerprint,
-                          const std::string &key) const;
-
-    /**
-     * Insert a plan and return the stored copy. If the key is
-     * already present (two workers planned the same cell), the
-     * existing entry wins and is returned — plans are deterministic,
-     * so both copies are identical.
-     */
-    const StagePlan *insert(uint64_t fingerprint, std::string key,
-                            StagePlan plan);
-
-    void clear();
-
-    size_t size() const;
-    uint64_t hits() const;
-    uint64_t misses() const;
-
-  private:
-    struct Entry
-    {
-        std::string key;
-        /** unique_ptr keeps the pointee stable across bucket growth. */
-        std::unique_ptr<StagePlan> plan;
-    };
-
-    mutable std::mutex mutex_;
-    mutable uint64_t hits_ = 0;
-    mutable uint64_t misses_ = 0;
-    std::map<uint64_t, std::vector<Entry>> buckets_;
 };
 
 } // namespace gopim::core

@@ -42,6 +42,12 @@ MappingArtifacts::build(const VertexProfile &profile,
     GOPIM_ASSERT(!profile.degrees.empty(),
                  "selective updating on '", dataset.name,
                  "' reads vertex degrees, but the profile is empty");
+    GOPIM_ASSERT(profile.degrees.size() ==
+                     VertexProfile::vertexCount(dataset),
+                 "selective updating on '", dataset.name, "' needs ",
+                 VertexProfile::vertexCount(dataset),
+                 " vertex degrees, but the profile has ",
+                 profile.degrees.size(), " (another dataset's?)");
     mapping::SelectiveUpdateParams params;
     params.theta = theta;
     params.coldPeriod = policy.coldPeriod;

@@ -75,8 +75,10 @@ struct MappingArtifacts
 
     /**
      * Map and select the dataset's vertices under the policy. Only
-     * a policy that readsDegrees needs `profile`; for the others the
-     * load is mapping::fullUpdateLoad and the profile may be empty.
+     * a policy that readsDegrees needs `profile`, and then it must be
+     * the dataset's own (VertexProfile::vertexCount degrees); for
+     * the others the load is mapping::fullUpdateLoad and the profile
+     * may be empty.
      */
     static MappingArtifacts build(const VertexProfile &profile,
                                   const ExecutionPolicy &policy,

@@ -80,10 +80,30 @@ Service::inflightSize() const
     return inflight_.size();
 }
 
+void
+Service::exportAllocMemoCounts()
+{
+    if (!config_.metrics)
+        return;
+    std::lock_guard<std::mutex> lock(memoExportMutex_);
+    auto advance = [&](const char *name, uint64_t total,
+                       uint64_t *exported) {
+        config_.metrics->counter(name).add(total - *exported);
+        *exported = total;
+    };
+    advance("serve.alloc_memo.hits", allocMemo_.hits(),
+            &exportedMemoHits_);
+    advance("serve.alloc_memo.misses", allocMemo_.misses(),
+            &exportedMemoMisses_);
+    advance("serve.alloc_memo.evictions", allocMemo_.evictions(),
+            &exportedMemoEvictions_);
+}
+
 std::string
-Service::simulate(const ResolvedRequest &resolved) const
+Service::simulate(const ResolvedRequest &resolved)
 {
     core::SystemConfig system = configuredSystem(resolved);
+    system.allocator = alloc::memoized(system.allocator, &allocMemo_);
 
     // A per-request trace_out gets its own sink so the file holds
     // only this run; otherwise the server-wide sink (if any) records.
@@ -100,6 +120,7 @@ Service::simulate(const ResolvedRequest &resolved) const
         // The baseline runs in the same fault environment, so the
         // speedup isolates the system, not the device health.
         base.fault = resolved.request.fault;
+        base.allocator = alloc::memoized(base.allocator, &allocMemo_);
     }
 
     // The inference families compile to a StagePlan and run through
@@ -143,6 +164,7 @@ Service::simulate(const ResolvedRequest &resolved) const
 
     if (sink)
         sink->writeFile(resolved.request.traceOut);
+    exportAllocMemoCounts();
     return result.dump();
 }
 

@@ -18,6 +18,16 @@
  * simulations enter the cache on worker threads, so which keys are
  * still resident, and with them the `cached`, `hits` and `misses`
  * fields, then depend on worker timing.
+ *
+ * Below the result cache, every run a Service makes (the request and
+ * its baseline, gcn-train and the inference families alike)
+ * allocates through one exact alloc::AllocationMemo, so Algorithm 1
+ * runs once per distinct allocation problem however many seeds ask
+ * it. A memo hit returns what allocate() returned for the
+ * bit-identical problem, so response bytes do not change. Its
+ * hit/miss/eviction counts are exact at one worker; with more, two
+ * workers can miss the same problem at once, so the split between
+ * hits and misses then depends on timing, as for the Full envelope.
  */
 
 #ifndef GOPIM_SERVE_SERVICE_HH
@@ -32,6 +42,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "alloc/memo.hh"
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "reram/config.hh"
@@ -202,7 +213,9 @@ class Service
     void retireInflight(const std::string &key);
 
     /** Run one simulation and serialize its result object. */
-    std::string simulate(const ResolvedRequest &resolved) const;
+    std::string simulate(const ResolvedRequest &resolved);
+    /** Bring the serve.alloc_memo.* counters up to the memo's. */
+    void exportAllocMemoCounts();
 
     void acquireQueueSlot();
     void releaseQueueSlot();
@@ -213,6 +226,13 @@ class Service
     ServiceConfig config_;
     size_t maxQueue_;
     ResultCache cache_;
+    alloc::AllocationMemo allocMemo_;
+
+    /** Memo counts already added to the metrics registry. */
+    std::mutex memoExportMutex_;
+    uint64_t exportedMemoHits_ = 0;
+    uint64_t exportedMemoMisses_ = 0;
+    uint64_t exportedMemoEvictions_ = 0;
 
     /** Serializes dispatch: counters + coalescing map. */
     mutable std::mutex dispatchMutex_;

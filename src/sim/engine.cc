@@ -260,7 +260,7 @@ scheduleEventPath(const ScheduleRequest &request,
     if (memoizable) {
         memoKey = timelineCacheKey(request, ctx);
         memoFingerprint = fnv1a64(memoKey);
-        if (const StageTimeline *cached =
+        if (const auto cached =
                 ctx.timelineCache->find(memoFingerprint, memoKey)) {
             StageTimeline timeline = *cached;
             recordScheduleMetrics(ctx, request, timeline, metricsTag);

@@ -1,37 +1,8 @@
 #include "sim/timeline_cache.hh"
 
-#include <cstring>
+#include "common/hash.hh"
 
 namespace gopim::sim {
-
-namespace {
-
-void
-packU32(std::string *out, uint32_t v)
-{
-    char bytes[sizeof v];
-    std::memcpy(bytes, &v, sizeof v);
-    out->append(bytes, sizeof v);
-}
-
-void
-packU64(std::string *out, uint64_t v)
-{
-    char bytes[sizeof v];
-    std::memcpy(bytes, &v, sizeof v);
-    out->append(bytes, sizeof v);
-}
-
-/** Bit pattern, not value: -0.0 and 0.0 key differently on purpose. */
-void
-packDouble(std::string *out, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    packU64(out, bits);
-}
-
-} // namespace
 
 std::string
 timelineCacheKey(const ScheduleRequest &request, const SimContext &ctx)
@@ -40,89 +11,21 @@ timelineCacheKey(const ScheduleRequest &request, const SimContext &ctx)
     key.reserve(32 + 8 * request.stageTimesNs.size() +
                 4 * request.replicas.size());
     key.push_back(static_cast<char>(request.regime));
-    packU32(&key, request.totalMicroBatches);
-    packU32(&key, request.microBatchesPerBatch);
-    packU32(&key, ctx.event.inputBufferSlots);
+    packKey(&key, request.totalMicroBatches);
+    packKey(&key, request.microBatchesPerBatch);
+    packKey(&key, ctx.event.inputBufferSlots);
     key.push_back(ctx.event.replicasAsServers ? 1 : 0);
-    packU32(&key, ctx.event.refreshEveryMicroBatches);
-    packDouble(&key, ctx.event.refreshStallNs);
+    packKey(&key, ctx.event.refreshEveryMicroBatches);
+    packKey(&key, ctx.event.refreshStallNs);
     // Vector lengths delimit the variable sections so two requests
     // can never concatenate to the same byte string.
-    packU64(&key, request.stageTimesNs.size());
+    packKey(&key, uint64_t{request.stageTimesNs.size()});
     for (double t : request.stageTimesNs)
-        packDouble(&key, t);
-    packU64(&key, request.replicas.size());
+        packKey(&key, t);
+    packKey(&key, uint64_t{request.replicas.size()});
     for (uint32_t r : request.replicas)
-        packU32(&key, r);
+        packKey(&key, r);
     return key;
-}
-
-const StageTimeline *
-TimelineCache::find(uint64_t fingerprint,
-                    const std::string &key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = buckets_.find(fingerprint);
-    if (it != buckets_.end()) {
-        for (const Entry &entry : it->second) {
-            if (entry.key == key) {
-                ++hits_;
-                return entry.timeline.get();
-            }
-        }
-    }
-    ++misses_;
-    return nullptr;
-}
-
-const StageTimeline *
-TimelineCache::insert(uint64_t fingerprint, std::string key,
-                      StageTimeline timeline)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &bucket = buckets_[fingerprint];
-    for (const Entry &entry : bucket)
-        if (entry.key == key)
-            return entry.timeline.get();
-    Entry entry;
-    entry.key = std::move(key);
-    entry.timeline =
-        std::make_unique<StageTimeline>(std::move(timeline));
-    bucket.push_back(std::move(entry));
-    return bucket.back().timeline.get();
-}
-
-void
-TimelineCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    buckets_.clear();
-    hits_ = 0;
-    misses_ = 0;
-}
-
-size_t
-TimelineCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t n = 0;
-    for (const auto &[fp, bucket] : buckets_)
-        n += bucket.size();
-    return n;
-}
-
-uint64_t
-TimelineCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-uint64_t
-TimelineCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
 }
 
 } // namespace gopim::sim

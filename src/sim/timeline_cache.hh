@@ -10,9 +10,9 @@
  * The cache key packs every input the event path reads: stage times
  * and replica counts bit-for-bit, the regime and micro-batch
  * structure, buffer slots, replicas-as-servers, and the refresh
- * knobs. Like core::PlanCache, entries are fingerprint-bucketed and
- * full-key-verified, so fingerprint collisions can never alias two
- * different schedules. Hits return the exact timeline the simulator
+ * knobs. Entries are fingerprint-bucketed and full-key-verified
+ * (common/fingerprint_cache.hh), so fingerprint collisions can never
+ * alias two different schedules. Hits return the exact timeline the simulator
  * would have produced — bit-identical, pinned by the engine tests.
  *
  * Callers must NOT consult the cache when the timeline is
@@ -23,13 +23,9 @@
 #ifndef GOPIM_SIM_TIMELINE_CACHE_HH
 #define GOPIM_SIM_TIMELINE_CACHE_HH
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/fingerprint_cache.hh"
 #include "sim/engine.hh"
 
 namespace gopim::sim {
@@ -38,43 +34,9 @@ namespace gopim::sim {
 std::string timelineCacheKey(const ScheduleRequest &request,
                              const SimContext &ctx);
 
-/** Fingerprint-bucketed, full-key-verified StageTimeline cache. */
-class TimelineCache
+/** Unbounded, full-key-verified StageTimeline cache. */
+class TimelineCache : public FingerprintCache<StageTimeline>
 {
-  public:
-    /**
-     * The cached timeline for (fingerprint, key), or nullptr.
-     * Returned pointers stay valid until clear().
-     */
-    const StageTimeline *find(uint64_t fingerprint,
-                              const std::string &key) const;
-
-    /**
-     * Insert a timeline and return the stored copy. An existing
-     * entry under the same key wins — the simulation is
-     * deterministic, so racing inserts hold identical timelines.
-     */
-    const StageTimeline *insert(uint64_t fingerprint, std::string key,
-                                StageTimeline timeline);
-
-    void clear();
-
-    size_t size() const;
-    uint64_t hits() const;
-    uint64_t misses() const;
-
-  private:
-    struct Entry
-    {
-        std::string key;
-        /** unique_ptr keeps the pointee stable across bucket growth. */
-        std::unique_ptr<StageTimeline> timeline;
-    };
-
-    mutable std::mutex mutex_;
-    mutable uint64_t hits_ = 0;
-    mutable uint64_t misses_ = 0;
-    std::map<uint64_t, std::vector<Entry>> buckets_;
 };
 
 } // namespace gopim::sim

@@ -3,17 +3,23 @@
  * Unit tests for the allocation module: the indexed max-heap, the
  * baseline policies, Algorithm 1's greedy allocator (including
  * optimality against exhaustive search on small instances and the
- * Fig. 5 example), and the bottleneck-sweep reference.
+ * Fig. 5 example), the bottleneck-sweep reference, and the exact
+ * allocation memo.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "alloc/allocator.hh"
 #include "alloc/basic.hh"
 #include "alloc/dp.hh"
 #include "alloc/greedy_heap.hh"
+#include "alloc/memo.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "pipeline/stage.hh"
 
@@ -313,6 +319,183 @@ TEST(Exhaustive, FindsKnownOptimum)
     const auto result = ExhaustiveAllocator(4).allocate(p);
     EXPECT_EQ(result.replicas[1], 4u);
     EXPECT_DOUBLE_EQ(makespanNs(p, result.replicas), 4.0);
+}
+
+/** Allocator that counts the calls it answers. */
+class CountingAllocator : public Allocator
+{
+  public:
+    explicit CountingAllocator(std::shared_ptr<const Allocator> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    AllocationResult
+    allocate(const AllocationProblem &problem) const override
+    {
+        ++calls;
+        return inner_->allocate(problem);
+    }
+    std::string name() const override { return inner_->name(); }
+    std::string memoKey() const override { return inner_->memoKey(); }
+
+    mutable int calls = 0;
+
+  private:
+    std::shared_ptr<const Allocator> inner_;
+};
+
+/** `v` with the lowest bit of its representation flipped. */
+double
+flipLowBit(double v)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    bits ^= 1;
+    std::memcpy(&v, &bits, sizeof bits);
+    return v;
+}
+
+TEST(AllocationMemo, HitReturnsWhatAllocateReturned)
+{
+    AllocationMemo memo;
+    auto counting = std::make_shared<CountingAllocator>(
+        std::make_shared<GreedyHeapAllocator>());
+    const auto memoizedAlloc = memoized(counting, &memo);
+    ASSERT_NE(memoizedAlloc, counting);
+    EXPECT_EQ(memoizedAlloc->name(), "GreedyHeap");
+
+    const auto p = mixedProblem();
+    const AllocationResult fresh = GreedyHeapAllocator().allocate(p);
+    for (int i = 0; i < 3; ++i) {
+        const AllocationResult got = memoizedAlloc->allocate(p);
+        EXPECT_EQ(got.replicas, fresh.replicas);
+        EXPECT_EQ(got.totalCrossbars, fresh.totalCrossbars);
+    }
+    EXPECT_EQ(counting->calls, 1);
+    EXPECT_EQ(memo.misses(), 1u);
+    EXPECT_EQ(memo.hits(), 2u);
+    EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(AllocationMemo, AllocatorsWithoutAKeyAreNotWrapped)
+{
+    AllocationMemo memo;
+    const std::shared_ptr<const Allocator> plain[] = {
+        std::make_shared<SerialAllocator>(),
+        std::make_shared<FixedRatioAllocator>(),
+        std::make_shared<SpaceProportionalAllocator>(),
+        std::make_shared<CombinationOnlyAllocator>(),
+        nullptr,
+    };
+    for (const auto &allocator : plain)
+        EXPECT_EQ(memoized(allocator, &memo), allocator);
+    EXPECT_EQ(memo.misses(), 0u);
+
+    // A memoized allocator is never wrapped twice.
+    const auto once =
+        memoized(std::make_shared<GreedyHeapAllocator>(), &memo);
+    EXPECT_EQ(memoized(once, &memo), once);
+}
+
+TEST(AllocationMemo, DistinctProblemsAndParametersNeverAlias)
+{
+    // Cache poisoning: each variant differs from the base in one bit
+    // of one double, one stage type, one scalar field, or only in
+    // the allocator's parameters. Every one must miss and get its
+    // own fresh answer.
+    const auto base = mixedProblem();
+    std::vector<AllocationProblem> problems(8, base);
+    problems[1].scalableTimesNs[1] =
+        flipLowBit(problems[1].scalableTimesNs[1]);
+    problems[2].fixedTimesNs[0] = -0.0; // 0.0 in the base
+    problems[3].stages[2].type = StageType::Aggregation;
+    problems[4].stages[3].layer = 2;
+    problems[5].crossbarsPerReplica[1] = 31;
+    problems[6].numMicroBatches = 9;
+    problems[7].maxUsefulReplicas = 3;
+
+    const std::string key = GreedyHeapAllocator().memoKey();
+    for (size_t i = 0; i < problems.size(); ++i)
+        for (size_t j = i + 1; j < problems.size(); ++j)
+            EXPECT_NE(allocationMemoKey(key, problems[i]),
+                      allocationMemoKey(key, problems[j]))
+                << i << " vs " << j;
+    EXPECT_NE(GreedyHeapAllocator(0, 1e-4).memoKey(),
+              GreedyHeapAllocator(0, 2e-4).memoKey());
+    EXPECT_NE(GreedyHeapAllocator(0).memoKey(),
+              GreedyHeapAllocator(8).memoKey());
+    EXPECT_EQ(GreedyHeapAllocator().memoKey(),
+              GreedyHeapAllocator(0, 1e-4).memoKey());
+
+    AllocationMemo memo;
+    const std::shared_ptr<const Allocator> allocators[] = {
+        std::make_shared<GreedyHeapAllocator>(),
+        std::make_shared<GreedyHeapAllocator>(2),
+        std::make_shared<GreedyHeapAllocator>(0, 0.5),
+    };
+    for (const auto &allocator : allocators) {
+        const auto viaMemo = memoized(allocator, &memo);
+        for (const auto &p : problems)
+            EXPECT_EQ(viaMemo->allocate(p).replicas,
+                      allocator->allocate(p).replicas);
+    }
+    EXPECT_EQ(memo.hits(), 0u);
+    EXPECT_EQ(memo.misses(), 3u * problems.size());
+    // The parameters do change the answer here, so aliasing would
+    // have shown as a wrong replica vector above.
+    EXPECT_NE(GreedyHeapAllocator(2).allocate(base).replicas,
+              GreedyHeapAllocator().allocate(base).replicas);
+}
+
+TEST(AllocationMemo, ForcedFingerprintCollisionStillVerifiesTheKey)
+{
+    const std::string tag = GreedyHeapAllocator().memoKey();
+    auto other = mixedProblem();
+    other.spareCrossbars += 1;
+    const std::string keyA = allocationMemoKey(tag, mixedProblem());
+    const std::string keyB = allocationMemoKey(tag, other);
+
+    AllocationMemo memo;
+    const uint64_t fp = 42; // both keys forced into one bucket
+    AllocationResult a, b;
+    a.replicas = {1, 2, 3, 4};
+    b.replicas = {4, 3, 2, 1};
+    memo.insert(fp, keyA, a);
+    memo.insert(fp, keyB, b);
+    EXPECT_EQ(memo.size(), 2u);
+    ASSERT_NE(memo.find(fp, keyA), nullptr);
+    ASSERT_NE(memo.find(fp, keyB), nullptr);
+    EXPECT_EQ(memo.find(fp, keyA)->replicas, a.replicas);
+    EXPECT_EQ(memo.find(fp, keyB)->replicas, b.replicas);
+    EXPECT_EQ(memo.find(fp, keyA + "x"), nullptr);
+    EXPECT_EQ(memo.find(fnv1a64(keyA), keyA), nullptr);
+}
+
+TEST(AllocationMemo, StaysWithinItsCapacityAndCountsEvictions)
+{
+    AllocationMemo memo;
+    const auto viaMemo =
+        memoized(std::make_shared<GreedyHeapAllocator>(), &memo);
+    const size_t distinct = AllocationMemo::kCapacity + 44;
+    auto p = mixedProblem();
+    for (size_t i = 0; i < distinct; ++i) {
+        p.spareCrossbars = 100 + i;
+        viaMemo->allocate(p);
+        EXPECT_LE(memo.size(), AllocationMemo::kCapacity);
+    }
+    EXPECT_EQ(memo.size(), AllocationMemo::kCapacity);
+    EXPECT_EQ(memo.evictions(), 44u);
+    EXPECT_EQ(memo.misses(), distinct);
+
+    // FIFO: the newest problem is resident, the first one evicted.
+    viaMemo->allocate(p);
+    EXPECT_EQ(memo.hits(), 1u);
+    p.spareCrossbars = 100;
+    viaMemo->allocate(p);
+    EXPECT_EQ(memo.hits(), 1u);
+    EXPECT_EQ(memo.evictions(), 45u);
+    EXPECT_EQ(memo.size(), AllocationMemo::kCapacity);
 }
 
 } // namespace

@@ -287,8 +287,8 @@ TEST(PlanCache, FingerprintCollisionsCannotAliasPlans)
     cache.insert(fp, "config-b", b);
     EXPECT_EQ(cache.size(), 2u);
 
-    const StagePlan *gotA = cache.find(fp, "config-a");
-    const StagePlan *gotB = cache.find(fp, "config-b");
+    const auto gotA = cache.find(fp, "config-a");
+    const auto gotB = cache.find(fp, "config-b");
     ASSERT_NE(gotA, nullptr);
     ASSERT_NE(gotB, nullptr);
     EXPECT_NE(gotA, gotB);
@@ -421,6 +421,18 @@ TEST(HarnessDeathTest, SelectiveUpdatingWithoutAProfileIsFatal)
                             makeSystem(SystemKind::GoPim));
     EXPECT_DEATH(accel.buildPlan(workload, {}),
                  "reads vertex degrees, but the profile is empty");
+}
+
+TEST(HarnessDeathTest, SelectiveUpdatingOnAnotherDatasetsProfileIsFatal)
+{
+    // A Cora profile (2708 degrees) cannot stand in for ddi's.
+    const auto workload = gcn::Workload::paperDefault("ddi");
+    const auto cora = gcn::VertexProfile::build(
+        graph::DatasetCatalog::byName("Cora"), workload.seed);
+    const Accelerator accel(reram::AcceleratorConfig::paperDefault(),
+                            makeSystem(SystemKind::GoPim));
+    EXPECT_DEATH(accel.buildPlan(workload, cora),
+                 "needs 4267 vertex degrees, but the profile has 2708");
 }
 
 TEST(Harness, SparseGraphStillWins)

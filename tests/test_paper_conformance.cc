@@ -144,12 +144,13 @@ TEST(FailureInjection, OversizedWorkloadIsFatal)
     // Shrink the chip until products' single replicas no longer fit.
     auto hw = reram::AcceleratorConfig::paperDefault();
     hw.chip.tilesPerChip = 16; // 4096 crossbars only
+    // GoPIM-Vanilla allocates like GoPIM but updates every vertex,
+    // so it plans products without products' 2.4M-vertex profile.
     const auto workload = gcn::Workload::paperDefault("products");
-    const auto profile = gcn::VertexProfile::build(
-        graph::DatasetCatalog::byName("Cora"), 1); // cheap profile
-    core::Accelerator accel(hw,
-                            core::makeSystem(core::SystemKind::GoPim));
-    EXPECT_DEATH(accel.run(workload, profile), "does not fit");
+    core::Accelerator accel(
+        hw, core::makeSystem(core::SystemKind::GoPimVanilla));
+    EXPECT_DEATH(accel.run(workload, gcn::VertexProfile{}),
+                 "does not fit");
 }
 
 TEST(FailureInjection, BadHardwareConfigIsFatal)

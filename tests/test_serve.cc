@@ -21,11 +21,14 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc/memo.hh"
 #include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/net.hh"
+#include "core/accelerator.hh"
 #include "core/options.hh"
+#include "core/report.hh"
 #include "gcn/workload.hh"
 #include "graph/datasets.hh"
 #include "obs/metrics.hh"
@@ -33,6 +36,7 @@
 #include "serve/request.hh"
 #include "serve/service.hh"
 #include "sim/engine.hh"
+#include "workload/runner.hh"
 #include "overlong_line.hh"
 
 namespace gopim {
@@ -958,6 +962,140 @@ TEST(ServiceTest, ResponseBytesArePinned)
     EXPECT_EQ(stats.requests, 216u);
     EXPECT_EQ(stats.errors, 0u);
     EXPECT_EQ(hexDigest64(fnv1a64(out.str())), "5bef6ddd1fd9c9fa");
+}
+
+/**
+ * gnn-infer lines (Cora, every partitioning) and cnn-infer lines
+ * (mnist and cifar), each under GoPIM, ReGraphX and SlimGNN-like at
+ * seeds 1 and 7, all against a Serial baseline.
+ */
+std::string
+inferenceRequestStream()
+{
+    std::string stream;
+    int id = 0;
+    auto add = [&](const std::string &fields) {
+        for (const char *system : {"GoPIM", "ReGraphX", "SlimGNN-like"})
+            for (const int seed : {1, 7})
+                stream += "{\"id\":\"i" + std::to_string(id++) + "\"," +
+                          fields + ",\"system\":\"" + system +
+                          "\",\"baseline\":\"Serial\",\"seed\":" +
+                          std::to_string(seed) + "}\n";
+    };
+    for (const char *partition :
+         {"row-split", "col-split", "nnz-balanced"})
+        add(std::string("\"workload\":\"gnn-infer\",\"dataset\":"
+                        "\"Cora\",\"partition\":\"") +
+            partition + "\"");
+    for (const char *preset : {"mnist", "cifar"})
+        add(std::string("\"workload\":\"cnn-infer\",\"dataset\":\"") +
+            preset + "\"");
+    return stream;
+}
+
+TEST(ServiceTest, InferenceResponseBytesArePinned)
+{
+    // FNV-1a of the whole response stream, pinned to the bytes the
+    // Service produced before its runs allocated through the
+    // allocation memo. Flag-less gopim_serve defaults, one worker.
+    Flags flags("test", "");
+    core::addSimFlags(flags);
+    const char *argv[] = {"test"};
+    flags.parse(1, const_cast<char **>(argv));
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.defaults.sim = core::simContextFromFlags(flags);
+    config.defaults.fault = core::faultConfigFromFlags(flags);
+    config.metrics = std::make_shared<obs::MetricsRegistry>();
+    serve::Service service(config);
+    std::istringstream in(inferenceRequestStream());
+    std::ostringstream out;
+    const auto stats =
+        service.processStream(in, out, false, serve::Envelope::Stable);
+    EXPECT_EQ(stats.requests, 30u);
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(hexDigest64(fnv1a64(out.str())), "4586a68b936372f1");
+    // Only GoPIM's GreedyHeap is memoized. gnn-infer partitions a
+    // graph generated from the seed, so its three problems differ
+    // per seed; cnn-infer's two do not and hit at the second seed.
+    const auto &m = *config.metrics;
+    EXPECT_EQ(m.findCounter("serve.alloc_memo.misses")->value(),
+              3u * 2u + 2u);
+    EXPECT_EQ(m.findCounter("serve.alloc_memo.hits")->value(), 2u);
+}
+
+TEST(ServiceTest, AllocationMemoLeavesEveryRunUnchanged)
+{
+    // Each run of both pinned streams, allocated directly and through
+    // one shared memo twice (the second pass answers from hits),
+    // serializes to the same bytes.
+    const auto hw = reram::AcceleratorConfig::paperDefault();
+    alloc::AllocationMemo memo;
+    std::istringstream lines(pinnedRequestStream() +
+                             inferenceRequestStream());
+    size_t runs = 0;
+    for (std::string line; std::getline(lines, line);) {
+        json::Value body;
+        ASSERT_TRUE(json::Value::parse(line, &body, nullptr)) << line;
+        serve::Request request;
+        ASSERT_TRUE(serve::parseRequest(body, {}, &request).ok()) << line;
+        serve::ResolvedRequest resolved;
+        ASSERT_TRUE(serve::resolveRequest(request, &resolved).ok())
+            << line;
+        const core::SystemConfig plain = serve::configuredSystem(resolved);
+        core::SystemConfig viaMemo = plain;
+        viaMemo.allocator = alloc::memoized(plain.allocator, &memo);
+        auto run = [&](const core::SystemConfig &system) {
+            if (request.family != workload::FamilyKind::GcnTrain)
+                return core::runResultToJson(
+                           workload::runFamily(resolved.spec, system, hw))
+                    .dump();
+            const gcn::Workload &w = resolved.workload;
+            gcn::VertexProfile profile;
+            if (system.policy.readsDegrees(w.dataset))
+                profile = gcn::VertexProfile::build(w.dataset, w.seed);
+            return core::runResultToJson(
+                       core::Accelerator(hw, system).run(w, profile))
+                .dump();
+        };
+        const std::string expected = run(plain);
+        EXPECT_EQ(run(viaMemo), expected) << line;
+        EXPECT_EQ(run(viaMemo), expected) << line;
+        ++runs;
+    }
+    EXPECT_EQ(runs, 216u + 30u);
+    EXPECT_GT(memo.hits(), memo.misses());
+}
+
+TEST(ServiceTest, AllocationMemoCountsAreExactAtOneWorker)
+{
+    // Cora's GoPIM allocation problem does not depend on the seed:
+    // three seeds are three result-cache misses but one Algorithm 1
+    // run. Serial has no allocator and ReGraphX's FixedRatio declares
+    // no memo key, so neither touches the memo.
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.metrics = std::make_shared<obs::MetricsRegistry>();
+    serve::Service service(config);
+    std::string stream;
+    for (const char *seed : {"1", "2", "3"})
+        stream += std::string("{\"dataset\":\"Cora\",\"system\":"
+                              "\"GoPIM\",\"baseline\":\"Serial\","
+                              "\"seed\":") +
+                  seed + "}\n";
+    stream += "{\"dataset\":\"Cora\",\"system\":\"ReGraphX\","
+              "\"baseline\":\"Serial\"}\n";
+    std::istringstream in(stream);
+    std::ostringstream out;
+    const auto stats = service.processStream(in, out);
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(service.misses(), 4u);
+
+    const auto &m = *config.metrics;
+    ASSERT_NE(m.findCounter("serve.alloc_memo.misses"), nullptr);
+    EXPECT_EQ(m.findCounter("serve.alloc_memo.misses")->value(), 1u);
+    EXPECT_EQ(m.findCounter("serve.alloc_memo.hits")->value(), 2u);
+    EXPECT_EQ(m.findCounter("serve.alloc_memo.evictions")->value(), 0u);
 }
 
 TEST(ServiceTest, OverlongLineIsRejectedAndServingContinues)
