@@ -15,6 +15,7 @@
 #include "cluster/proc.hh"
 #include "cluster/wire.hh"
 #include "common/logging.hh"
+#include "common/ordered_pump.hh"
 #include "obs/profile.hh"
 
 namespace gopim::cluster {
@@ -71,10 +72,8 @@ Router::~Router()
                 if (!reaped)
                     sleepMs(20);
             }
-            if (!reaped) {
-                killProcess(shard.pid, SIGKILL);
-                reapProcess(shard.pid, true);
-            }
+            if (!reaped)
+                stopWorker(shard);
             shard.pid = -1;
         }
     }
@@ -104,7 +103,7 @@ Router::start()
 }
 
 std::string
-Router::connectShard(Shard &shard)
+Router::connectShard(Shard &shard, size_t *reissued)
 {
     std::string host = shard.spec.host;
     uint16_t port = shard.spec.port;
@@ -131,9 +130,7 @@ Router::connectShard(Shard &shard)
             }
         }
         if (reported == 0) {
-            killProcess(shard.pid, SIGKILL);
-            reapProcess(shard.pid, true);
-            shard.pid = -1;
+            stopWorker(shard);
             return "worker did not report a port via " +
                    shard.spec.portFile;
         }
@@ -144,11 +141,7 @@ Router::connectShard(Shard &shard)
     // Any failure from here on must not leak a just-spawned worker:
     // the caller's retry would spawn another one on top of it.
     auto fail = [&](std::string reason) {
-        if (shard.pid > 0) {
-            killProcess(shard.pid, SIGKILL);
-            reapProcess(shard.pid, true);
-            shard.pid = -1;
-        }
+        stopWorker(shard);
         return reason;
     };
 
@@ -183,19 +176,38 @@ Router::connectShard(Shard &shard)
         !problem.empty())
         return fail(problem);
 
+    // Publish the connection and re-issue the journal in one hold of
+    // the write lock: a line journaled before the snapshot is in the
+    // replay (its dispatcher sees the new generation and skips its
+    // own write), and one journaled after it is written after the
+    // replay, so the shard receives the journal in order.
+    std::lock_guard<std::mutex> writeLock(shard.writeMutex);
+    std::vector<std::string> replay;
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        replay.reserve(shard.journal.size());
+        for (const Journaled &journaled : shard.journal)
+            replay.push_back(journaled.line);
+        shard.fd = std::move(guard);
+        ++shard.generation;
         shard.dead = false;
     }
-    shard.fd = std::move(guard);
-    shard.reader = std::thread([this, &shard] { readerLoop(shard); });
+    shard.reader =
+        std::thread([this, &shard, fd] { readerLoop(shard, fd); });
+    for (const std::string &line : replay) {
+        // Died again mid-replay: the reader marks the shard dead and
+        // the journal is intact for the next round.
+        if (!net::writeFrame(fd, line))
+            return "re-issue write failed";
+    }
+    if (reissued != nullptr)
+        *reissued = replay.size();
     return "";
 }
 
 void
-Router::readerLoop(Shard &shard)
+Router::readerLoop(Shard &shard, int fd)
 {
-    const int fd = shard.fd.get();
     while (true) {
         std::string payload;
         const net::IoStatus status = net::readFrame(fd, &payload);
@@ -203,8 +215,8 @@ Router::readerLoop(Shard &shard)
         if (status != net::IoStatus::Ok || shard.journal.empty()) {
             // Connection lost — or a frame with nothing journaled
             // against it, which only a corrupted peer can produce.
-            // Either way this connection is done; the session thread
-            // revives the shard and re-issues its journal.
+            // Either way this connection is done; the session's
+            // emitter revives the shard and re-issues its journal.
             shard.dead = true;
             cv_.notify_all();
             return;
@@ -223,20 +235,65 @@ void
 Router::disconnectShard(Shard &shard)
 {
     // Wake a reader blocked in readFrame without closing the fd out
-    // from under it; the fd is reset only after the join.
+    // from under it; the fd is reset only after the join, and under
+    // the write lock, so no dispatcher writes to a recycled number.
     if (shard.fd.valid())
         ::shutdown(shard.fd.get(), SHUT_RDWR);
     if (shard.reader.joinable())
         shard.reader.join();
+    std::lock_guard<std::mutex> writeLock(shard.writeMutex);
     shard.fd.reset();
     std::lock_guard<std::mutex> lock(mutex_);
     shard.dead = true;
 }
 
 void
-Router::failJournal(Shard &shard)
+Router::stopWorker(Shard &shard)
 {
+    if (shard.pid > 0) {
+        killProcess(shard.pid, SIGKILL);
+        reapProcess(shard.pid, true);
+        shard.pid = -1;
+    }
+}
+
+void
+Router::reviveShard(Shard &shard)
+{
+    for (uint32_t attempt = 0; attempt < config_.restartAttempts;
+         ++attempt) {
+        // Crashed or chaos-killed: reap the corpse before respawning.
+        disconnectShard(shard);
+        stopWorker(shard);
+        size_t reissued = 0;
+        if (std::string problem = connectShard(shard, &reissued);
+            !problem.empty()) {
+            warn("cluster: shard '", shard.spec.name,
+                 "' restart attempt ", attempt + 1, "/",
+                 config_.restartAttempts, " failed: ", problem);
+            continue;
+        }
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++shard.restarts;
+        }
+        ++restarts_;
+        reissued_ += reissued;
+        metrics_->counter("cluster.restart.count").add();
+        metrics_->counter("cluster.reissue.count").add(reissued);
+        inform("cluster: shard '", shard.spec.name,
+               "' restarted; re-issued ", reissued,
+               " in-flight request(s)");
+        return;
+    }
+
+    warn("cluster: shard '", shard.spec.name, "' gave up after ",
+         config_.restartAttempts,
+         " restart attempts; failing its in-flight requests");
+    disconnectShard(shard);
+    stopWorker(shard);
     std::lock_guard<std::mutex> lock(mutex_);
+    shard.gone = true;
     for (Journaled &journaled : shard.journal) {
         journaled.entry->response = serve::errorResponseLine(
             journaled.entry->id,
@@ -251,96 +308,14 @@ Router::failJournal(Shard &shard)
     cv_.notify_all();
 }
 
-void
-Router::reviveShard(Shard &shard, StreamStats *stats)
+Router::Shard *
+Router::shardToRevive() const
 {
-    disconnectShard(shard);
-    if (shard.pid > 0) {
-        // Crashed or chaos-killed: reap the corpse before respawning.
-        killProcess(shard.pid, SIGKILL);
-        reapProcess(shard.pid, true);
-        shard.pid = -1;
-    }
-
-    // The journal cannot change while the shard is dead (its reader
-    // is joined and only this session thread appends), so a plain
-    // snapshot is re-issuable as-is, in order.
-    std::vector<std::string> replay;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        replay.reserve(shard.journal.size());
-        for (const Journaled &journaled : shard.journal)
-            replay.push_back(journaled.line);
-    }
-
-    for (uint32_t attempt = 0; attempt < config_.restartAttempts;
-         ++attempt) {
-        if (std::string problem = connectShard(shard);
-            !problem.empty()) {
-            warn("cluster: shard '", shard.spec.name,
-                 "' restart attempt ", attempt + 1, "/",
-                 config_.restartAttempts, " failed: ", problem);
-            continue;
-        }
-        bool reissued = true;
-        for (const std::string &line : replay) {
-            if (!net::writeFrame(shard.fd.get(), line)) {
-                reissued = false;
-                break;
-            }
-        }
-        if (!reissued) {
-            // Died again mid-replay; the journal is intact. Tear the
-            // half-open connection (and its reader thread) down
-            // before the next attempt respawns.
-            disconnectShard(shard);
-            if (shard.pid > 0) {
-                killProcess(shard.pid, SIGKILL);
-                reapProcess(shard.pid, true);
-                shard.pid = -1;
-            }
-            continue;
-        }
-        ++shard.restarts;
-        ++restarts_;
-        reissued_ += replay.size();
-        if (stats != nullptr) {
-            ++stats->restarts;
-            stats->reissued += replay.size();
-        }
-        metrics_->counter("cluster.restart.count").add();
-        metrics_->counter("cluster.reissue.count")
-            .add(replay.size());
-        inform("cluster: shard '", shard.spec.name,
-               "' restarted; re-issued ", replay.size(),
-               " in-flight request(s)");
-        return;
-    }
-
-    warn("cluster: shard '", shard.spec.name, "' gave up after ",
-         config_.restartAttempts,
-         " restart attempts; failing its in-flight requests");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shard.gone = true;
-    }
-    failJournal(shard);
-}
-
-void
-Router::recoverDeadShards(StreamStats *stats)
-{
-    for (auto &shardPtr : shards_) {
-        Shard &shard = *shardPtr;
-        bool needsRevival = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            needsRevival =
-                shard.dead && !shard.gone && !shard.journal.empty();
-        }
-        if (needsRevival)
-            reviveShard(shard, stats);
-    }
+    for (const auto &shardPtr : shards_)
+        if (shardPtr->dead && !shardPtr->gone &&
+            !shardPtr->journal.empty())
+            return shardPtr.get();
+    return nullptr;
 }
 
 Router::EntryPtr
@@ -411,7 +386,9 @@ Router::dispatchLine(const std::string &line, serve::LineRead read,
     const size_t index = shardFor(key);
     Shard &shard = *shards_[index];
 
-    // Admission: shed fast, block on saturation, revive on demand.
+    // Admission: shed fast, block on saturation. A dead shard is not
+    // waited for: the line joins its journal, which the emitter
+    // re-issues when it revives the shard.
     std::unique_lock<std::mutex> lock(mutex_);
     while (true) {
         if (shard.gone) {
@@ -424,12 +401,6 @@ Router::dispatchLine(const std::string &line, serve::LineRead read,
                          "' is unavailable (worker failed "
                          "permanently)"}),
                 true);
-        }
-        if (shard.dead) {
-            lock.unlock();
-            reviveShard(shard, stats);
-            lock.lock();
-            continue;
         }
         const Admit admit = admission_.decide(index);
         if (admit == Admit::Accept)
@@ -458,99 +429,118 @@ Router::dispatchLine(const std::string &line, serve::LineRead read,
     entry->dispatchedUs = obs::profileNowUs();
     shard.journal.push_back({line, entry});
     admission_.onDispatch(index);
-    const int fd = shard.fd.get();
+    const bool live = !shard.dead;
+    const uint64_t generation = shard.generation;
     lock.unlock();
 
-    if (!net::writeFrame(fd, line)) {
-        // Death detected on write: the request is journaled, so the
-        // revival path (recoverDeadShards / next dispatch to this
-        // shard) re-issues it — the entry still completes.
-        std::lock_guard<std::mutex> guard(mutex_);
-        shard.dead = true;
-        cv_.notify_all();
-    }
+    if (live)
+        sendToShard(shard, generation, line);
     return entry;
+}
+
+void
+Router::sendToShard(Shard &shard, uint64_t generation,
+                    const std::string &line)
+{
+    std::lock_guard<std::mutex> writeLock(shard.writeMutex);
+    if (shard.generation != generation)
+        return; // re-issued by the revival in between
+    if (net::writeFrame(shard.fd.get(), line))
+        return;
+    // Death detected on write: the line is journaled, so the revival
+    // re-issues it and the entry still completes.
+    std::lock_guard<std::mutex> lock(mutex_);
+    shard.dead = true;
+    cv_.notify_all();
+}
+
+void
+Router::awaitEntry(const Entry &entry)
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (true) {
+        Shard *dead = nullptr;
+        cv_.wait(lock, [&] {
+            dead = shardToRevive();
+            return entry.done || dead != nullptr;
+        });
+        if (entry.done)
+            return;
+        lock.unlock();
+        reviveShard(*dead);
+        lock.lock();
+    }
+}
+
+void
+Router::afterEmit(const Entry &entry, StreamStats *stats)
+{
+    ++emitted_;
+    if (entry.isError) {
+        ++errors_;
+        ++stats->errors;
+    }
+    if (entry.routed)
+        admission_.observeLatency(obs::profileNowUs() -
+                                  entry.dispatchedUs);
+    // Chaos harness: every chaosKillEvery emitted responses, SIGKILL
+    // one seeded-random spawned worker — the recovery path must keep
+    // the stream byte-identical regardless. It runs on the emitter,
+    // the thread that owns revival and with it every shard's pid.
+    if (config_.chaosKillEvery == 0 ||
+        chaosKills_ >= config_.chaosKillCount ||
+        emitted_ % config_.chaosKillEvery != 0)
+        return;
+    std::vector<Shard *> candidates;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (auto &shardPtr : shards_)
+            if (shardPtr->pid > 0 && !shardPtr->gone)
+                candidates.push_back(shardPtr.get());
+    }
+    if (candidates.empty())
+        return;
+    Shard &victim = *candidates[chaosRng_.uniformInt(
+        static_cast<uint64_t>(candidates.size()))];
+    inform("cluster: chaos kill of shard '", victim.spec.name,
+           "' after ", emitted_, " responses");
+    killProcess(victim.pid, SIGKILL);
+    ++chaosKills_;
+    ++stats->chaosKills;
+    metrics_->counter("cluster.chaos.kill.count").add();
 }
 
 Router::StreamStats
 Router::runSession(
     const std::function<serve::LineRead(std::string *)> &nextLine,
-    const std::function<void(const std::string &)> &emit)
+    const std::function<void(const std::string &)> &emit,
+    const std::function<void()> &flush)
 {
     StreamStats stats;
-    std::deque<EntryPtr> window;
-
-    auto emitEntry = [&](const EntryPtr &entry) {
-        emit(entry->response);
-        ++emitted_;
-        if (entry->isError) {
-            ++errors_;
-            ++stats.errors;
-        }
-        if (entry->routed)
-            admission_.observeLatency(obs::profileNowUs() -
-                                      entry->dispatchedUs);
-        // Chaos harness: every chaosKillEvery emitted responses,
-        // SIGKILL one seeded-random spawned worker — the recovery
-        // path must keep the stream byte-identical regardless.
-        if (config_.chaosKillEvery != 0 &&
-            chaosKills_ < config_.chaosKillCount &&
-            emitted_ % config_.chaosKillEvery == 0) {
-            std::vector<Shard *> candidates;
-            for (auto &shardPtr : shards_)
-                if (shardPtr->pid > 0 && !shardPtr->gone)
-                    candidates.push_back(shardPtr.get());
-            if (!candidates.empty()) {
-                Shard &victim = *candidates[chaosRng_.uniformInt(
-                    static_cast<uint64_t>(candidates.size()))];
-                inform("cluster: chaos kill of shard '",
-                       victim.spec.name, "' after ", emitted_,
-                       " responses");
-                killProcess(victim.pid, SIGKILL);
-                ++chaosKills_;
-                ++stats.chaosKills;
-                metrics_->counter("cluster.chaos.kill.count").add();
+    pumpInOrder<EntryPtr>(
+        [&](EntryPtr *entry) {
+            std::string line;
+            for (serve::LineRead read;
+                 (read = nextLine(&line)) != serve::LineRead::End;) {
+                if (read == serve::LineRead::Line &&
+                    line.find_first_not_of(" \t\r") ==
+                        std::string::npos)
+                    continue;
+                *entry = dispatchLine(line, read, &stats);
+                return true;
             }
-        }
-    };
-
-    // Flush every response whose turn has come and is done, so output
-    // streams in input order while shards keep working.
-    auto drainReady = [&] {
-        while (true) {
-            EntryPtr front;
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                if (window.empty() || !window.front()->done)
-                    return;
-                front = std::move(window.front());
-                window.pop_front();
-            }
-            emitEntry(front);
-        }
-    };
-
-    std::string line;
-    for (serve::LineRead read;
-         (read = nextLine(&line)) != serve::LineRead::End;) {
-        if (read == serve::LineRead::Line &&
-            line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        window.push_back(dispatchLine(line, read, &stats));
-        drainReady();
-        recoverDeadShards(&stats);
-    }
-
-    // Drain: emit the rest in order, reviving dead shards as needed.
-    while (true) {
-        drainReady();
-        recoverDeadShards(&stats);
-        std::unique_lock<std::mutex> lock(mutex_);
-        if (window.empty())
-            break;
-        if (!window.front()->done)
-            cv_.wait_for(lock, std::chrono::milliseconds(50));
-    }
+            return false;
+        },
+        [&](const EntryPtr &entry) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            return entry->done;
+        },
+        [&](EntryPtr &entry) {
+            awaitEntry(*entry);
+            emit(entry->response);
+            afterEmit(*entry, &stats);
+        },
+        flush);
 
     stats.restarts = restarts_;
     stats.reissued = reissued_;
@@ -560,15 +550,15 @@ Router::runSession(
 Router::StreamStats
 Router::processStream(std::istream &in, std::ostream &out)
 {
-    StreamStats stats = runSession(
+    const ScopedUntie untie(in);
+    return runSession(
         [&in](std::string *line) {
             return serve::readRequestLine(in, line);
         },
         [&out](const std::string &response) {
             out << response << '\n';
-        });
-    out.flush();
-    return stats;
+        },
+        [&out] { out.flush(); });
 }
 
 Router::StreamStats
@@ -621,7 +611,8 @@ Router::processFramed(int clientFd)
         [clientFd, &peerGone](const std::string &response) {
             if (!peerGone && !net::writeFrame(clientFd, response))
                 peerGone = true;
-        });
+        },
+        [] {});
 }
 
 json::Value
@@ -646,12 +637,12 @@ Router::statsJson() const
     }
     json::Value v = json::Value::object();
     v.set("type", "stats");
-    v.set("requests", requests_);
-    v.set("errors", errors_);
+    v.set("requests", requests_.load());
+    v.set("errors", errors_.load());
     v.set("shed", admission_.shedCount());
-    v.set("restarts", restarts_);
-    v.set("reissued", reissued_);
-    v.set("chaos_kills", chaosKills_);
+    v.set("restarts", restarts_.load());
+    v.set("reissued", reissued_.load());
+    v.set("chaos_kills", chaosKills_.load());
     v.set("inflight", journaled);
     v.set("shards", std::move(inflight));
     return v;

@@ -19,8 +19,9 @@
  *
  * Worker death is survived, not hidden: the router journals every
  * in-flight request per shard, detects death (read/write failure),
- * respawns or reconnects, re-issues the journal in order, and keeps
- * going — the client stream is byte-identical to an undisturbed run
+ * respawns or reconnects from the session's emitter thread (so
+ * recovery never waits for client input), re-issues the journal in
+ * order, and keeps going — the client stream is byte-identical to an undisturbed run
  * because re-simulation of a deterministic request reproduces the
  * same result bytes. A seeded chaos mode (kill a worker every N
  * responses) makes that claim testable end to end.
@@ -29,6 +30,7 @@
 #ifndef GOPIM_CLUSTER_ROUTER_HH
 #define GOPIM_CLUSTER_ROUTER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
@@ -117,9 +119,12 @@ class Router
 
     /**
      * Route JSONL requests from `in` until EOF; one response line
-     * per request to `out`, in input order. Responses stream as soon
-     * as order allows. Lines are capped like Service::processStream's
-     * (serve::readRequestLine).
+     * per request to `out`, in input order. Each response is written
+     * the moment it and every earlier one are done, and `out` is
+     * flushed whenever nothing more is ready, so a client that waits
+     * for each response is served. `in` is untied from its output
+     * stream for the call. Lines are capped like
+     * Service::processStream's (serve::readRequestLine).
      */
     StreamStats processStream(std::istream &in, std::ostream &out);
 
@@ -163,7 +168,14 @@ class Router
     {
         size_t index = 0; ///< position in shards_ / admission gauges
         ShardSpec spec;
+        /**
+         * Serializes frame writes with the connection swap: fd is
+         * replaced, and the journal re-issued, only under it.
+         */
+        std::mutex writeMutex;
         net::Fd fd;
+        /** Bumped per connection; a stale dispatcher skips its write. */
+        uint64_t generation = 0;
         int64_t pid = -1;
         bool dead = true;  ///< no live connection
         bool gone = false; ///< permanently failed
@@ -175,35 +187,61 @@ class Router
         std::thread reader;
     };
 
-    /** One connect/spawn+hello round; "" on success. */
-    std::string connectShard(Shard &shard);
+    /**
+     * One connect/spawn+hello round; "" on success. The new
+     * connection is published, and the journal re-issued on it in
+     * order, under the shard's write lock; `reissued` gets the count.
+     */
+    std::string connectShard(Shard &shard, size_t *reissued = nullptr);
     /** Reader thread: match response frames to journal fronts. */
-    void readerLoop(Shard &shard);
+    void readerLoop(Shard &shard, int fd);
     /** Join the reader and drop the connection (does not revive). */
     void disconnectShard(Shard &shard);
+    /** SIGKILL and reap the shard's spawned worker, if any. */
+    void stopWorker(Shard &shard);
     /**
-     * Main-thread revival: respawn/reconnect a dead shard and
-     * re-issue its journal; marks it gone after restartAttempts
-     * failed rounds.
+     * Respawn/reconnect a dead shard and re-issue its journal; after
+     * restartAttempts failed rounds, mark it gone and fail its
+     * journal with shard_unavailable errors. Emitter thread only.
      */
-    void reviveShard(Shard &shard, StreamStats *stats);
-    /** Fail a gone shard's journal with shard_unavailable errors. */
-    void failJournal(Shard &shard);
-    /** Revive every dead shard that still owes journal entries. */
-    void recoverDeadShards(StreamStats *stats);
+    void reviveShard(Shard &shard);
+    /** A dead, not gone shard that owes responses; mutex_ held. */
+    Shard *shardToRevive() const;
 
     /**
      * Parse/route/admit one line (a TooLong read is answered with
-     * line_too_long); never blocks on results.
+     * line_too_long); never blocks on results or on revival. A line
+     * for a dead shard is journaled unsent: its revival sends it.
      */
     EntryPtr dispatchLine(const std::string &line, serve::LineRead read,
                           StreamStats *stats);
     EntryPtr immediateEntry(std::string response, bool isError);
+    /**
+     * Write a journaled line on the connection it was journaled
+     * against; a revival since then has re-issued it already.
+     */
+    void sendToShard(Shard &shard, uint64_t generation,
+                     const std::string &line);
 
-    /** The session pump shared by both client transports. */
+    /**
+     * Emitter: wait until `entry` is done, reviving any dead shard
+     * that owes responses meanwhile (so revival never waits for
+     * client input).
+     */
+    void awaitEntry(const Entry &entry);
+    /** Emitter: count an emitted entry, then run the chaos harness. */
+    void afterEmit(const Entry &entry, StreamStats *stats);
+
+    /**
+     * The session shared by both client transports: this thread
+     * reads, dispatches and admits; an emitter thread writes each
+     * response the moment it and every earlier one are done, calls
+     * `flush` before it blocks, and owns shard revival.
+     */
     StreamStats runSession(
         const std::function<serve::LineRead(std::string *)> &nextLine,
-        const std::function<void(const std::string &)> &emit);
+        const std::function<void(const std::string &)> &emit,
+        const std::function<void()> &flush);
 
     RouterConfig config_;
     std::shared_ptr<obs::MetricsRegistry> metrics_;
@@ -211,20 +249,24 @@ class Router
     std::vector<std::string> names_;
     std::vector<std::unique_ptr<Shard>> shards_;
     std::string defaultsFp_;
-    Rng chaosRng_;
-    uint64_t emitted_ = 0;
-    uint64_t chaosKills_ = 0;
-    uint64_t restarts_ = 0;
-    uint64_t reissued_ = 0;
-    uint64_t requests_ = 0;
-    uint64_t errors_ = 0;
+    Rng chaosRng_;         ///< emitter thread only
+    uint64_t emitted_ = 0; ///< emitter thread only
+    // Written by the session's reader or emitter, read by statsJson()
+    // on the reader.
+    std::atomic<uint64_t> chaosKills_{0};
+    std::atomic<uint64_t> restarts_{0};
+    std::atomic<uint64_t> reissued_{0};
+    std::atomic<uint64_t> requests_{0};
+    std::atomic<uint64_t> errors_{0};
     bool started_ = false;
 
     /**
      * One mutex/cv pair guards all cross-thread state (journals,
-     * entry done flags, dead flags). Reader threads hold it only to
-     * match one frame; contention is negligible next to simulation
-     * cost, and a single lock keeps the invariants auditable.
+     * entry done flags, dead/gone flags, connection generations).
+     * Reader threads hold it only to match one frame; contention is
+     * negligible next to simulation cost, and a single lock keeps the
+     * invariants auditable. A shard's writeMutex, when both are
+     * taken, is taken first.
      */
     mutable std::mutex mutex_;
     std::condition_variable cv_;

@@ -1,13 +1,8 @@
 #include "cluster/worker.hh"
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <thread>
-#include <utility>
-
 #include "cluster/wire.hh"
 #include "common/net.hh"
+#include "common/ordered_pump.hh"
 #include "serve/request.hh"
 
 namespace gopim::cluster {
@@ -51,29 +46,24 @@ pumpFramedConnection(serve::Service &service, int fd,
 
     // --- pipelined request/response pump --------------------------
     // This thread reads frames and submits them (submission order =
-    // frame order, which fixes the hit/miss decisions); the writer
-    // thread finishes fronts in that same order, so response frames
-    // are deterministic per connection for any worker pool size. The
-    // window needs no explicit bound: submit() itself blocks on the
-    // service's bounded queue.
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<serve::Service::Pending> window;
-    bool eof = false;
+    // frame order, which fixes the hit/miss decisions); the pump's
+    // writer finishes fronts in that same order, so response frames
+    // are deterministic per connection for any worker pool size.
     bool peerGone = false;
-
-    std::thread writer([&] {
-        std::unique_lock<std::mutex> lock(mutex);
-        while (true) {
-            cv.wait(lock, [&] { return eof || !window.empty(); });
-            if (window.empty())
-                return; // eof && drained
-            serve::Service::Pending pending =
-                std::move(window.front());
-            window.pop_front();
-            lock.unlock();
+    pumpInOrder<serve::Service::Pending>(
+        [&](serve::Service::Pending *pending) {
+            std::string line;
+            if (net::readFrame(fd, &line) != net::IoStatus::Ok)
+                return false;
+            ++stats.requests;
+            *pending = service.submit(line, envelope);
+            return true;
+        },
+        [&](const serve::Service::Pending &pending) {
+            return service.ready(pending);
+        },
+        [&](serve::Service::Pending &pending) {
             const std::string line = service.finish(pending);
-            lock.lock();
             if (line.rfind("{\"type\":\"error\"", 0) == 0)
                 ++stats.errors;
             // A vanished peer stops the writes but not the drain:
@@ -81,28 +71,8 @@ pumpFramedConnection(serve::Service &service, int fd,
             // service so its cache/metrics state stays coherent.
             if (!peerGone && !net::writeFrame(fd, line))
                 peerGone = true;
-        }
-    });
-
-    while (true) {
-        std::string line;
-        if (net::readFrame(fd, &line) != net::IoStatus::Ok)
-            break;
-        ++stats.requests;
-        serve::Service::Pending pending =
-            service.submit(line, envelope);
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            window.push_back(std::move(pending));
-            cv.notify_all(); // under the lock: no lost wake-up
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        eof = true;
-        cv.notify_all(); // under the lock: no lost wake-up
-    }
-    writer.join();
+        },
+        [] {});
     return stats;
 }
 

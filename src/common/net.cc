@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -61,6 +62,19 @@ readExactly(int fd, char *buf, size_t size, std::string *error)
         off += static_cast<size_t>(n);
     }
     return IoStatus::Ok;
+}
+
+/**
+ * Send small frames at once instead of holding them for Nagle's
+ * algorithm until the previous one is acknowledged: one response frame
+ * per request would otherwise wait out the peer's delayed ACK. Fails
+ * harmlessly on a Unix-domain socket, which has no such delay.
+ */
+void
+setNoDelay(int fd)
+{
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 } // namespace
@@ -178,7 +192,7 @@ listenTcp(const std::string &host, uint16_t port, uint16_t *boundPort,
                             "' (numeric IPv4 or 'localhost')");
         return -1;
     }
-    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid()) {
         setError(error, "socket(): " + errnoString());
         return -1;
@@ -221,7 +235,7 @@ connectTcp(const std::string &host, uint16_t port, std::string *error)
                             "' (numeric IPv4 or 'localhost')");
         return -1;
     }
-    Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid()) {
         setError(error, "socket(): " + errnoString());
         return -1;
@@ -233,6 +247,7 @@ connectTcp(const std::string &host, uint16_t port, std::string *error)
                             "): " + errnoString());
         return -1;
     }
+    setNoDelay(fd.get());
     return fd.release();
 }
 
@@ -259,7 +274,7 @@ listenUnix(const std::string &path, std::string *error,
             return -1;
         }
         // Probe: a connectable socket belongs to a live server.
-        Fd probe(::socket(AF_UNIX, SOCK_STREAM, 0));
+        Fd probe(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
         if (probe.valid() &&
             ::connect(probe.get(),
                       reinterpret_cast<const sockaddr *>(&addr),
@@ -276,7 +291,7 @@ listenUnix(const std::string &path, std::string *error,
             *removedStale = true;
     }
 
-    Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+    Fd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!fd.valid()) {
         setError(error, "socket(): " + errnoString());
         return -1;
@@ -301,7 +316,10 @@ acceptWithTimeout(int listenFd, int timeoutMs)
     const int rc = ::poll(&pfd, 1, timeoutMs);
     if (rc <= 0 || !(pfd.revents & POLLIN))
         return -1;
-    return ::accept(listenFd, nullptr, nullptr);
+    const int fd = ::accept4(listenFd, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd >= 0)
+        setNoDelay(fd);
+    return fd;
 }
 
 } // namespace gopim::net

@@ -10,6 +10,10 @@
  * Everything reports failures through out-parameters rather than
  * fatal(): the callers (worker restart, reconnect loops) treat I/O
  * errors as recoverable events, not user errors.
+ *
+ * Every socket made here is close-on-exec: a worker the router
+ * respawns must not inherit its client and shard connections (an
+ * inherited copy keeps a closed connection from ever reaching EOF).
  */
 
 #ifndef GOPIM_COMMON_NET_HH
@@ -80,7 +84,10 @@ IoStatus readFrame(int fd, std::string *payload,
 int listenTcp(const std::string &host, uint16_t port,
               uint16_t *boundPort, std::string *error);
 
-/** Connect to host:port; returns the fd, or -1 with `error` filled. */
+/**
+ * Connect to host:port with TCP_NODELAY set; returns the fd, or -1
+ * with `error` filled.
+ */
 int connectTcp(const std::string &host, uint16_t port,
                std::string *error);
 
@@ -96,8 +103,9 @@ int listenUnix(const std::string &path, std::string *error,
                bool *removedStale = nullptr);
 
 /**
- * poll()-based accept: returns the connected fd, or -1 on timeout /
- * transient failure (callers loop on a stop flag).
+ * poll()-based accept: returns the connected fd (TCP_NODELAY set on a
+ * TCP connection), or -1 on timeout / transient failure (callers loop
+ * on a stop flag).
  */
 int acceptWithTimeout(int listenFd, int timeoutMs);
 

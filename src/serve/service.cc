@@ -5,9 +5,8 @@
 #include <ostream>
 #include <utility>
 
-#include <deque>
-
 #include "common/logging.hh"
+#include "common/ordered_pump.hh"
 #include "core/accelerator.hh"
 #include "core/report.hh"
 #include "obs/profile.hh"
@@ -131,11 +130,14 @@ Service::simulate(const ResolvedRequest &resolved)
         resolved.request.family != workload::FamilyKind::GcnTrain;
     const gcn::Workload &w = resolved.workload;
     core::RunResult run;
-    // One profile serves the request and its baseline, built only
-    // when one of them reads degrees (selective updating).
+    // One plan (families) or one profile (gcn-train, built only when
+    // the request or its baseline reads degrees) serves both runs.
+    workload::StagePlan plan;
     gcn::VertexProfile profile;
     if (familyRun) {
-        run = workload::runFamily(resolved.spec, system, config_.hw);
+        plan = workload::planFamily(resolved.spec, config_.hw);
+        run = workload::runFamily(resolved.spec, plan, system,
+                                  config_.hw);
     } else {
         if (system.policy.readsDegrees(w.dataset) ||
             (resolved.hasBaseline &&
@@ -155,7 +157,8 @@ Service::simulate(const ResolvedRequest &resolved)
     if (resolved.hasBaseline) {
         const core::RunResult baseRun =
             familyRun
-                ? workload::runFamily(resolved.spec, base, config_.hw)
+                ? workload::runFamily(resolved.spec, plan, base,
+                                      config_.hw)
                 : core::Accelerator(config_.hw, base).run(w, profile);
         result.set("baseline", baseRun.systemName);
         result.set("speedup", run.speedupOver(baseRun));
@@ -455,36 +458,33 @@ Service::processStream(std::istream &in, std::ostream &out,
         stream_ = {};
     }
 
-    // Responses wait in a deque window: entries are released as they
-    // are emitted, so memory tracks the in-flight window instead of
-    // the whole stream.
-    std::deque<Pending> window;
-
-    std::string line;
-    for (LineRead read; (read = readRequestLine(in, &line)) !=
-                        LineRead::End;) {
-        if (read == LineRead::TooLong) {
-            window.emplace_back();
-            window.back().output_ =
-                reject(accept(), lineTooLongError());
-        } else if (line.find_first_not_of(" \t\r") ==
-                   std::string::npos) {
-            continue;
-        } else {
-            window.push_back(submit(line, envelope));
-        }
-        // Flush every response whose turn has come and whose result
-        // is ready, so output streams while the pool keeps working.
-        while (!window.empty() && ready(window.front())) {
-            out << finish(window.front()) << '\n';
-            window.pop_front();
-        }
-    }
-    // Drain: emit the rest in order, blocking as needed.
-    while (!window.empty()) {
-        out << finish(window.front()) << '\n';
-        window.pop_front();
-    }
+    // This thread reads and dispatches in input order; the pump's
+    // writer emits each response as soon as it and every earlier one
+    // are done, so output streams while later requests still compute
+    // and a client waiting on one response is never left waiting for
+    // its own next line.
+    const ScopedUntie untie(in);
+    pumpInOrder<Pending>(
+        [&](Pending *pending) {
+            std::string line;
+            for (LineRead read; (read = readRequestLine(in, &line)) !=
+                                LineRead::End;) {
+                if (read == LineRead::TooLong) {
+                    pending->output_ =
+                        reject(accept(), lineTooLongError());
+                    return true;
+                }
+                if (line.find_first_not_of(" \t\r") !=
+                    std::string::npos) {
+                    *pending = submit(line, envelope);
+                    return true;
+                }
+            }
+            return false;
+        },
+        [&](const Pending &pending) { return ready(pending); },
+        [&](Pending &pending) { out << finish(pending) << '\n'; },
+        [&] { out.flush(); });
 
     StreamStats stats;
     {

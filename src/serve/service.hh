@@ -174,8 +174,11 @@ class Service
      * than the frame cap is answered with a line_too_long error and
      * never buffered whole (readRequestLine). When `emitStats`
      * is set, a final {"type":"stats",...} line summarizes the
-     * stream. Completed responses are flushed as soon as order
-     * allows, so output streams while later requests still compute.
+     * stream. A writer thread emits each response as soon as it and
+     * every earlier one are done, and flushes `out` whenever nothing
+     * more is ready, so output streams while later requests still
+     * compute and a client that waits for each response is served.
+     * `in` is untied from its output stream for the call.
      */
     StreamStats processStream(std::istream &in, std::ostream &out,
                               bool emitStats = false,

@@ -190,20 +190,35 @@ runPlan(const StagePlan &plan, const core::SystemConfig &system,
     return result;
 }
 
-core::RunResult
-runFamily(const WorkloadSpec &spec, const core::SystemConfig &system,
-          const reram::AcceleratorConfig &hw,
-          const std::vector<double> &estimatedStageTimesNs)
+StagePlan
+planFamily(const WorkloadSpec &spec, const reram::AcceleratorConfig &hw)
 {
     const WorkloadFamily &family = familyFor(spec.family);
     if (const std::string problem = family.validateSpec(spec);
         !problem.empty())
         fatal(family.name(), ": ", problem);
-    const StagePlan plan = family.plan(spec, hw);
+    return family.plan(spec, hw);
+}
+
+core::RunResult
+runFamily(const WorkloadSpec &spec, const StagePlan &plan,
+          const core::SystemConfig &system,
+          const reram::AcceleratorConfig &hw,
+          const std::vector<double> &estimatedStageTimesNs)
+{
     core::RunResult result =
         runPlan(plan, system, hw, estimatedStageTimesNs);
     result.datasetName = spec.dataset;
     return result;
+}
+
+core::RunResult
+runFamily(const WorkloadSpec &spec, const core::SystemConfig &system,
+          const reram::AcceleratorConfig &hw,
+          const std::vector<double> &estimatedStageTimesNs)
+{
+    return runFamily(spec, planFamily(spec, hw), system, hw,
+                     estimatedStageTimesNs);
 }
 
 } // namespace gopim::workload

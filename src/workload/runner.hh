@@ -55,9 +55,24 @@ runPlan(const StagePlan &plan, const core::SystemConfig &system,
         const std::vector<double> &estimatedStageTimesNs = {});
 
 /**
- * Compile and run: validate the spec against its family (fatal() with
- * the family's diagnostic on bad specs), build the plan, and execute
- * it under `system`. The one-call entry point for tools and serving.
+ * Compile: validate the spec against its family (fatal() with the
+ * family's diagnostic on bad specs) and build its plan. The plan does
+ * not depend on the system, so one plan serves a run and its
+ * baseline.
+ */
+StagePlan planFamily(const WorkloadSpec &spec,
+                     const reram::AcceleratorConfig &hw);
+
+/** runPlan on `spec`'s compiled `plan`, labelled with its dataset. */
+core::RunResult
+runFamily(const WorkloadSpec &spec, const StagePlan &plan,
+          const core::SystemConfig &system,
+          const reram::AcceleratorConfig &hw,
+          const std::vector<double> &estimatedStageTimesNs = {});
+
+/**
+ * Compile and run: planFamily, then execute the plan under `system`.
+ * The one-call entry point for tools and serving.
  */
 core::RunResult
 runFamily(const WorkloadSpec &spec, const core::SystemConfig &system,

@@ -20,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,6 +40,7 @@
 #include "serve/request.hh"
 #include "serve/service.hh"
 #include "sim/engine.hh"
+#include "fd_stream.hh"
 #include "overlong_line.hh"
 
 namespace gopim {
@@ -277,6 +280,27 @@ TEST(UnixSocketTest, RefusesNonSocketFile)
     EXPECT_NE(error.find("not a socket"), std::string::npos)
         << error;
     ::unlink(path.c_str());
+}
+
+TEST(TcpSocketTest, ConnectedAndAcceptedSocketsSetNoDelay)
+{
+    // Small request/response frames must leave at once, not wait on
+    // Nagle's algorithm for the peer's delayed ACK.
+    std::string error;
+    uint16_t port = 0;
+    const net::Fd listener(net::listenTcp("127.0.0.1", 0, &port, &error));
+    ASSERT_TRUE(listener.valid()) << error;
+    const net::Fd client(net::connectTcp("127.0.0.1", port, &error));
+    ASSERT_TRUE(client.valid()) << error;
+    const net::Fd accepted(net::acceptWithTimeout(listener.get(), 10000));
+    ASSERT_TRUE(accepted.valid());
+    for (const int fd : {client.get(), accepted.get()}) {
+        int flag = 0;
+        socklen_t len = sizeof(flag);
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &flag, &len),
+                  0);
+        EXPECT_EQ(flag, 1);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -666,6 +690,230 @@ TEST(RouterLineCapTest, OverlongLineIsRejectedAndRoutingContinues)
                   "\n" +
                   service.handleLine(next, serve::Envelope::Stable) +
                   "\n");
+}
+
+/**
+ * A request-then-wait client of Router::processStream: the session
+ * reads a pipe, and each line is sent only after the previous
+ * response arrived (within 10 s, else the test fails rather than
+ * hangs).
+ */
+class PipedRouterSession
+{
+  public:
+    explicit PipedRouterSession(cluster::Router &router)
+        : inBuf_(toRouter_.readEnd), outBuf_(fromRouter_.writeEnd),
+          in_(&inBuf_), out_(&outBuf_),
+          session_([this, &router] {
+              stats_ = router.processStream(in_, out_);
+          })
+    {
+    }
+    ~PipedRouterSession() { finish(); }
+
+    /** Send raw bytes (one or more lines). */
+    bool
+    send(const std::string &bytes)
+    {
+        return testing_util::writeAll(toRouter_.writeEnd, bytes);
+    }
+
+    /** The next response line, or false after 10 s without one. */
+    bool
+    receive(std::string *line)
+    {
+        return testing_util::readLineWithin(fromRouter_.readEnd, &carry_,
+                                            line, 10000);
+    }
+
+    /** End the input and wait for the session to return. */
+    const cluster::Router::StreamStats &
+    finish()
+    {
+        toRouter_.closeWrite();
+        if (session_.joinable())
+            session_.join();
+        return stats_;
+    }
+
+  private:
+    testing_util::Pipe toRouter_;
+    testing_util::Pipe fromRouter_;
+    testing_util::FdStreamBuf inBuf_;
+    testing_util::FdStreamBuf outBuf_;
+    std::istream in_;
+    std::ostream out_;
+    std::string carry_;
+    cluster::Router::StreamStats stats_;
+    std::thread session_;
+};
+
+/** A single process serving with the workers' defaults. */
+serve::ServiceConfig
+referenceConfig()
+{
+    serve::ServiceConfig config;
+    config.defaults = workerDefaults();
+    return config;
+}
+
+/** Distinct-key requests, so both shards get some. */
+std::vector<std::string>
+waitingClientLines()
+{
+    std::vector<std::string> lines;
+    for (int seed = 1; seed <= 6; ++seed)
+        lines.push_back("{\"id\":\"w" + std::to_string(seed) +
+                        "\",\"dataset\":\"Cora\",\"seed\":" +
+                        std::to_string(seed) + "}");
+    lines.push_back("{\"id\":\"w7\",\"dataset\":\"Cora\",\"seed\":1}");
+    lines.push_back("not json");
+    return lines;
+}
+
+TEST(RouterWaitingClientTest, StdinSessionAnswersBeforeTheNextLine)
+{
+    serve::Service reference(referenceConfig());
+    const std::string dir = tempDirFor("gopim_cluster_wait_stdin");
+    ASSERT_FALSE(dir.empty());
+    cluster::RouterConfig config;
+    config.shards = spawnedShards(2, dir);
+    config.defaults = workerDefaults();
+    cluster::Router router(std::move(config));
+    ASSERT_EQ(router.start(), "");
+
+    PipedRouterSession session(router);
+    const std::vector<std::string> lines = waitingClientLines();
+    for (const std::string &line : lines) {
+        ASSERT_TRUE(session.send(line + "\n"));
+        std::string response;
+        const bool answered = session.receive(&response);
+        EXPECT_TRUE(answered) << "no response within 10 s to " << line;
+        if (!answered)
+            break;
+        EXPECT_EQ(response,
+                  reference.handleLine(line, serve::Envelope::Stable));
+    }
+    EXPECT_EQ(session.finish().requests, lines.size());
+}
+
+TEST(RouterWaitingClientTest, FramedSessionAnswersBeforeTheNextFrame)
+{
+    serve::Service reference(referenceConfig());
+    const std::string dir = tempDirFor("gopim_cluster_wait_framed");
+    ASSERT_FALSE(dir.empty());
+    cluster::RouterConfig config;
+    config.shards = spawnedShards(2, dir);
+    config.defaults = workerDefaults();
+    const std::string fp =
+        serve::defaultsFingerprint(config.defaults, config.hw);
+    cluster::Router router(std::move(config));
+    ASSERT_EQ(router.start(), "");
+
+    std::string error;
+    uint16_t port = 0;
+    const net::Fd listener(net::listenTcp("127.0.0.1", 0, &port, &error));
+    ASSERT_TRUE(listener.valid()) << error;
+    std::thread server([&] {
+        const net::Fd conn(net::acceptWithTimeout(listener.get(), 10000));
+        if (conn.valid())
+            router.processFramed(conn.get());
+    });
+
+    net::Fd client(net::connectTcp("127.0.0.1", port, &error));
+    EXPECT_TRUE(client.valid()) << error;
+    std::string reply;
+    if (client.valid() &&
+        net::writeFrame(client.get(),
+                        cluster::helloLine("test", serve::Envelope::Stable,
+                                           fp)) &&
+        net::readFrame(client.get(), &reply) == net::IoStatus::Ok) {
+        EXPECT_EQ(cluster::checkHelloReply(reply, fp), "") << reply;
+        for (const std::string &line : waitingClientLines()) {
+            // EXPECT, not ASSERT: the server thread must still be
+            // joined.
+            const bool sent = net::writeFrame(client.get(), line);
+            EXPECT_TRUE(sent);
+            const bool answered =
+                sent && testing_util::readableWithin(client.get(), 10000);
+            EXPECT_TRUE(answered) << "no response within 10 s to " << line;
+            std::string response;
+            if (!answered ||
+                net::readFrame(client.get(), &response) != net::IoStatus::Ok)
+                break;
+            EXPECT_EQ(response, reference.handleLine(
+                                    line, serve::Envelope::Stable));
+        }
+    } else {
+        ADD_FAILURE() << "hello exchange failed";
+    }
+    client.reset();
+    server.join();
+}
+
+TEST(RouterWaitingClientTest, ShardKilledWhileClientWaitsIsRevived)
+{
+    serve::Service reference(referenceConfig());
+    // The chaos harness SIGKILLs the only shard right after the first
+    // response (the immediate error for "not json"), while the second
+    // request is in flight or about to be sent. The client then sends
+    // nothing more: the revival must not wait for client input.
+    const std::string dir = tempDirFor("gopim_cluster_wait_kill");
+    ASSERT_FALSE(dir.empty());
+    cluster::RouterConfig config;
+    config.shards = spawnedShards(1, dir);
+    config.defaults = workerDefaults();
+    config.chaosKillEvery = 1;
+    config.chaosKillCount = 1;
+    cluster::Router router(std::move(config));
+    ASSERT_EQ(router.start(), "");
+
+    const std::string slow = "{\"id\":\"slow\",\"dataset\":\"Cora\","
+                             "\"engine\":\"event\",\"epochs\":4}";
+    PipedRouterSession session(router);
+    ASSERT_TRUE(session.send("not json\n" + slow + "\n"));
+    for (const std::string &line : {std::string("not json"), slow}) {
+        std::string response;
+        const bool answered = session.receive(&response);
+        EXPECT_TRUE(answered) << "no response within 10 s to " << line;
+        if (!answered)
+            break;
+        EXPECT_EQ(response,
+                  reference.handleLine(line, serve::Envelope::Stable));
+    }
+    const cluster::Router::StreamStats &stats = session.finish();
+    EXPECT_EQ(stats.chaosKills, 1u);
+    EXPECT_GE(stats.restarts, 1u);
+}
+
+TEST(RouterWaitingClientTest, TiedInputStreamLeavesBytesUnchanged)
+{
+    // std::cin is tied to std::cout, so a tied read flushes the output
+    // stream. The session must untie it (the emitter writes `out` on
+    // another thread) and restore the tie when it returns.
+    const std::string dir = tempDirFor("gopim_cluster_tied");
+    ASSERT_FALSE(dir.empty());
+    cluster::RouterConfig config;
+    config.shards = spawnedShards(2, dir);
+    config.defaults = workerDefaults();
+    cluster::Router router(std::move(config));
+    ASSERT_EQ(router.start(), "");
+
+    const std::string requests = chaosRequestStream(2);
+    auto run = [&](bool tie) {
+        std::istringstream in(requests);
+        testing_util::FlushingStringBuf sink;
+        std::ostream out(&sink);
+        if (tie)
+            in.tie(&out);
+        router.processStream(in, out);
+        EXPECT_EQ(in.tie(), tie ? &out : nullptr);
+        EXPECT_EQ(sink.flushedBytes(), sink.str().size());
+        return sink.str();
+    };
+    const std::string untied = run(false);
+    EXPECT_FALSE(untied.empty());
+    EXPECT_EQ(run(true), untied);
 }
 
 TEST(RouterStartTest, FailsFastOnDeadEndpoint)

@@ -8,6 +8,7 @@
  * batch emits byte-identical output to a single-threaded run.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -26,6 +27,7 @@
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/net.hh"
+#include "common/ordered_pump.hh"
 #include "core/accelerator.hh"
 #include "core/options.hh"
 #include "core/report.hh"
@@ -37,6 +39,7 @@
 #include "serve/service.hh"
 #include "sim/engine.hh"
 #include "workload/runner.hh"
+#include "fd_stream.hh"
 #include "overlong_line.hh"
 
 namespace gopim {
@@ -843,6 +846,188 @@ TEST(ServiceTest, StatsQueryAnswersInStreamOrder)
     // A stats query is not a simulation: no hit/miss movement.
     EXPECT_EQ(service.hits(), 1u);
     EXPECT_EQ(service.misses(), 2u);
+}
+
+TEST(ServiceStreamTest, RequestThenWaitClientGetsEachResponse)
+{
+    // A client that sends one line and waits for its response before
+    // sending the next: each response must arrive while the session
+    // still waits for input, not when the next line arrives.
+    serve::ServiceConfig config;
+    config.jobs = 2;
+    config.defaults.sim.engineOverride =
+        std::make_shared<StubEngine>();
+    serve::Service service(config);
+    serve::Service reference(config);
+
+    testing_util::Pipe toService;
+    testing_util::Pipe fromService;
+    ASSERT_GE(toService.readEnd, 0);
+    ASSERT_GE(fromService.readEnd, 0);
+    testing_util::FdStreamBuf inBuf(toService.readEnd);
+    testing_util::FdStreamBuf outBuf(fromService.writeEnd);
+    std::istream in(&inBuf);
+    std::ostream out(&outBuf);
+    std::thread session([&] { service.processStream(in, out); });
+
+    // Misses, a hit, a rejected line and a stats query.
+    const std::vector<std::string> lines = {
+        "{\"id\":\"w1\",\"dataset\":\"Cora\",\"seed\":1}",
+        "{\"id\":\"w2\",\"dataset\":\"Cora\",\"seed\":2}",
+        "{\"id\":\"w3\",\"dataset\":\"Cora\",\"seed\":1}",
+        "{\"id\":\"w4\",\"dataset\":\"no-such-graph\"}",
+        "{\"type\":\"stats\"}",
+        "{\"id\":\"w5\",\"dataset\":\"ddi\",\"seed\":3}"};
+    std::string carry;
+    for (const std::string &line : lines) {
+        // EXPECT, not ASSERT: the session thread must still be joined.
+        const bool sent =
+            testing_util::writeAll(toService.writeEnd, line + "\n");
+        EXPECT_TRUE(sent);
+        std::string response;
+        const bool answered =
+            sent && testing_util::readLineWithin(fromService.readEnd,
+                                                 &carry, &response, 10000);
+        EXPECT_TRUE(answered) << "no response within 10 s to " << line;
+        if (!answered)
+            break;
+        if (lineSays(line, "stats"))
+            EXPECT_TRUE(lineSays(response, "\"type\":\"stats\""))
+                << response;
+        else
+            EXPECT_EQ(response, reference.handleLine(line));
+    }
+    toService.closeWrite();
+    session.join();
+}
+
+/** `total` copies of one request line, one per refill, counted. */
+class CountingLineSource : public std::streambuf
+{
+  public:
+    CountingLineSource(const std::string &line, size_t total)
+        : line_(line + "\n"), left_(total)
+    {
+    }
+    size_t delivered() const { return delivered_.load(); }
+
+  protected:
+    int_type
+    underflow() override
+    {
+        if (left_ == 0)
+            return traits_type::eof();
+        --left_;
+        ++delivered_;
+        setg(line_.data(), line_.data(), line_.data() + line_.size());
+        return traits_type::to_int_type(line_[0]);
+    }
+
+  private:
+    std::string line_;
+    size_t left_;
+    std::atomic<size_t> delivered_{0};
+};
+
+/** A string sink whose every write blocks until open() is called. */
+class GatedSink : public std::stringbuf
+{
+  public:
+    void
+    open()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        open_ = true;
+        cv_.notify_all();
+    }
+
+  protected:
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        waitOpen();
+        return std::stringbuf::xsputn(s, n);
+    }
+    int_type
+    overflow(int_type ch) override
+    {
+        waitOpen();
+        return std::stringbuf::overflow(ch);
+    }
+
+  private:
+    void
+    waitOpen()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [this] { return open_; });
+    }
+
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool open_ = false;
+};
+
+TEST(ServiceStreamTest, ClientThatStopsReadingStopsTheReader)
+{
+    // Reading and writing run on two threads, so a client that never
+    // reads its responses no longer throttles input through a blocked
+    // write. The pump's window bound must: the reader stalls about
+    // kPumpWindow lines in, not at the end of the stream.
+    serve::ServiceConfig config;
+    config.jobs = 1;
+    config.defaults.sim.engineOverride =
+        std::make_shared<StubEngine>();
+    serve::Service service(config);
+    const size_t total = 3 * kPumpWindow;
+    CountingLineSource source("not json", total);
+    std::istream in(&source);
+    GatedSink sink;
+    std::ostream out(&sink);
+    std::thread session([&] { service.processStream(in, out); });
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (source.delivered() < kPumpWindow &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const size_t readWhileBlocked = source.delivered();
+    sink.open();
+    session.join();
+
+    EXPECT_GE(readWhileBlocked, kPumpWindow);
+    EXPECT_LE(readWhileBlocked, kPumpWindow + 4);
+    const std::string output = sink.str();
+    EXPECT_EQ(static_cast<size_t>(
+                  std::count(output.begin(), output.end(), '\n')),
+              total);
+}
+
+TEST(ServiceStreamTest, TiedInputStreamLeavesBytesUnchanged)
+{
+    // std::cin is tied to std::cout: a tied read flushes the output
+    // stream. The session must not let that happen on the reading
+    // thread while its writer writes, and must restore the tie.
+    auto run = [](bool tie) {
+        serve::ServiceConfig config;
+        config.jobs = 4;
+        config.defaults.sim.engineOverride =
+            std::make_shared<StubEngine>();
+        serve::Service service(config);
+        std::istringstream in(mixedBatch());
+        testing_util::FlushingStringBuf sink;
+        std::ostream out(&sink);
+        if (tie)
+            in.tie(&out);
+        service.processStream(in, out, true);
+        EXPECT_EQ(in.tie(), tie ? &out : nullptr);
+        EXPECT_EQ(sink.flushedBytes(), sink.str().size());
+        return sink.str();
+    };
+    const std::string untied = run(false);
+    EXPECT_EQ(run(true), untied);
+    EXPECT_FALSE(untied.empty());
 }
 
 TEST(ServiceTest, MetricsRecordLatenciesAndOutcomes)

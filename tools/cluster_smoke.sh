@@ -12,7 +12,9 @@
 #   - the router metrics export (METRICS_router.json) carries the
 #     restart/reissue counters,
 #   - the router removes its port-file directory (made under $TMPDIR)
-#     when it exits.
+#     when it exits,
+#   - a request-then-wait client on the router's stdin gets each
+#     response within 10 s, before it sends its next line.
 #
 # Usage: tools/cluster_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -100,4 +102,29 @@ grep -q '"schema": "gopim.metrics.v1"' METRICS_router.json
 grep -q 'cluster.restart.count' METRICS_router.json
 grep -q 'cluster.request.count' METRICS_router.json
 echo "METRICS_router.json carries the cluster counters"
+
+# Request-then-wait: a client that sends one line and waits for its
+# response before sending the next must get each response at once (the
+# router emits on completion and flushes stdout when nothing more is
+# ready), not when a later line arrives.
+echo "request-then-wait client on router stdin ..."
+: > "$work/wait_requests.jsonl"
+: > "$work/wait_replies.jsonl"
+coproc ROUTER { TMPDIR="$work" "$router" --workers=2 \
+    --worker-cmd="$serve --jobs=1"; }
+for seed in 1 2 3 1; do
+    line=$(printf '{"id":"wait-%s","dataset":"Cora","seed":%s}' \
+        "$seed" "$seed")
+    printf '%s\n' "$line" >> "$work/wait_requests.jsonl"
+    printf '%s\n' "$line" >&"${ROUTER[1]}"
+    IFS= read -r -t 10 reply <&"${ROUTER[0]}" \
+        || { echo "no response within 10 s to $line" >&2; exit 1; }
+    printf '%s\n' "$reply" >> "$work/wait_replies.jsonl"
+done
+exec {ROUTER[1]}>&-
+wait "$ROUTER_PID"
+"$serve" --envelope=stable < "$work/wait_requests.jsonl" \
+    | diff - "$work/wait_replies.jsonl" \
+    || { echo "request-then-wait replies differ from single process" >&2; exit 1; }
+echo "request-then-wait: every response arrived before the next request"
 echo "cluster smoke OK"

@@ -168,9 +168,10 @@ runWorkloadMode(const Flags &flags, workload::FamilyKind family,
     baselineSystem.sim = ctx;
 
     const auto hw = reram::AcceleratorConfig::paperDefault();
-    const auto run = workload::runFamily(spec, system, hw);
+    const workload::StagePlan plan = workload::planFamily(spec, hw);
+    const auto run = workload::runFamily(spec, plan, system, hw);
     const auto baseline =
-        workload::runFamily(spec, baselineSystem, hw);
+        workload::runFamily(spec, plan, baselineSystem, hw);
     core::writeTraceIfRequested(flags, ctx);
     core::writeMetricsIfRequested(flags, ctx);
     core::writeIsaTraceIfRequested(flags, ctx);
@@ -193,8 +194,6 @@ runWorkloadMode(const Flags &flags, workload::FamilyKind family,
         return 0;
     }
 
-    const workload::StagePlan plan =
-        workload::familyFor(family).plan(spec, hw);
     std::cout << run.systemName << " running " << plan.label << " ("
               << plan.numStages() << " stages, micro-batch "
               << spec.microBatchSize << ", "
